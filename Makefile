@@ -1,5 +1,7 @@
 GO ?= go
-TAG ?= pr7
+# Snapshot tag: one past the newest committed BENCH_pr<N>.json, the
+# same default scripts/ci.sh uses, so no target clobbers a landed one.
+TAG ?= $(shell sh scripts/default-tag.sh)
 
 .PHONY: build test race vet bench perfstat profile chaos fuzz ci
 

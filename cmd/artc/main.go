@@ -24,7 +24,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +37,6 @@ import (
 	"rootreplay/internal/fault/chaostest"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/shard"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
@@ -147,78 +145,6 @@ func reportCache(st artifact.Stats, quiet bool) {
 		fmt.Fprintf(os.Stderr, "artc: cache: miss key=%s compile=%v size=%d\n",
 			st.Key[:12], time.Duration(st.CompileNs), st.Bytes)
 	}
-}
-
-// resolveSliceProfile implements -slice-profile=auto: return the cached
-// slice profile for (benchmark, slice options) if one exists, otherwise
-// run one profiling replay of the static cut, persist its profile, and
-// return it. A corrupt cached profile falls back to the static cut with
-// a warning — the same contract as a corrupt benchmark artifact, minus
-// the recompute (the static cut is always safe). Returns nil (static
-// cut) for mode "off" and for plans slicing leaves whole.
-func resolveSliceProfile(mode string, store *artifact.Store, b *artc.Benchmark,
-	opts artc.Options, so artc.ShardOptions, quiet bool) (*shard.SliceProfile, error) {
-	switch mode {
-	case "", "off":
-		return nil, nil
-	case "auto":
-	default:
-		return nil, fmt.Errorf("unknown -slice-profile mode %q (want off or auto)", mode)
-	}
-	if so.SliceActions <= 0 {
-		return nil, fmt.Errorf("-slice-profile=auto requires -slice-actions")
-	}
-	var key string
-	if store != nil {
-		benchKey, err := artifact.KeyTrace(b.Trace, b.Snapshot, b.Modes)
-		if err != nil {
-			return nil, err
-		}
-		key = artifact.ProfileKey(benchKey, so.SliceActions, so.SliceMax, so.SliceDeviceSync)
-		sp, _, err := store.GetProfile(key)
-		switch {
-		case err == nil:
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "artc: slice profile: hit key=%s atoms=%d pairs=%d\n",
-					key[:12], len(sp.Atoms), len(sp.Pairs))
-			}
-			return sp, nil
-		case errors.Is(err, artifact.ErrMiss):
-		default:
-			var ce *artifact.CorruptError
-			if errors.As(err, &ce) {
-				// The corrupt wording is load-bearing: CI greps for it.
-				fmt.Fprintf(os.Stderr, "artc: slice profile: corrupt entry detected and removed, falling back to static cut key=%s\n", key[:12])
-				return nil, nil
-			}
-			return nil, err
-		}
-	}
-	// Miss: profile the static cut once. Observability stays off — the
-	// coordinator's wait accounting is always on and is all the profile
-	// needs.
-	popts := opts
-	popts.Obs = nil
-	pso := so
-	pso.SliceProfile = nil
-	t0 := time.Now()
-	_, st, err := artc.ReplaySharded(b, popts, pso)
-	if err != nil {
-		return nil, fmt.Errorf("slice profiling replay: %w", err)
-	}
-	if st.Profile == nil {
-		return nil, nil // nothing was sliced; nothing to re-cut
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "artc: slice profile: miss, profiled static cut in %v (atoms=%d pairs=%d)\n",
-			time.Since(t0).Round(time.Millisecond), len(st.Profile.Atoms), len(st.Profile.Pairs))
-	}
-	if store != nil {
-		if _, err := store.PutProfile(key, st.Profile); err != nil {
-			fmt.Fprintf(os.Stderr, "artc: slice profile: store failed: %v\n", err)
-		}
-	}
-	return st.Profile, nil
 }
 
 func readSnapshot(path string) (*snapshot.Snapshot, error) {
@@ -369,12 +295,6 @@ func replayCmd(args []string) error {
 	fullFsync := fs.Bool("osx-full-fsync", false, "use F_FULLFSYNC when emulating Linux fsync on OS X")
 	timeline := fs.Bool("timeline", false, "print a per-thread replay timeline (Figure 9 style)")
 	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
-	sliceDevSync := fs.Bool("slice-device-sync", false, "let slicing cut fsync-heavy components (perf runs only: merged times reflect per-slice device queues, so output is no longer byte-identical to serial)")
-	sliceProfile := fs.String("slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
-	warm := fs.Bool("warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
-	cacheDir, noCache := cacheFlags(fs)
 	fs.Parse(args)
 	if *benchPath == "" {
 		return fmt.Errorf("-bench is required")
@@ -414,42 +334,19 @@ func replayCmd(args []string) error {
 		so := artc.ShardOptions{
 			Shards: n,
 			Target: conf,
-			Init: func(sys *stack.System) error {
-				if err := artc.Init(sys, b, ""); err != nil {
-					return err
-				}
-				if *warm {
-					sys.WarmAll()
-				}
-				return nil
-			},
-			SliceActions:    *sliceActions,
-			SliceMax:        *sliceMax,
-			SliceDeviceSync: *sliceDevSync,
-		}
-		so.SliceProfile, err = resolveSliceProfile(*sliceProfile, openStore(*cacheDir, *noCache), b, opts, so, false)
-		if err != nil {
-			return err
+			Init:   func(sys *stack.System) error { return artc.Init(sys, b, "") },
 		}
 		var st *artc.ShardStats
 		rep, st, err = artc.ReplaySharded(b, opts, so)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("sharded: components=%d clusters=%d cross-edges=%d largest=%d workers=%d sliced=%d synthetic=%d profiled=%v fingerprint=%016x\n",
-			st.Components, st.Clusters, st.CrossEdges, st.Largest, st.Shards, st.Sliced, st.Synthetic, st.Profiled, st.PlanFingerprint)
-		if c := rep.Coord; c != nil {
-			fmt.Printf("coord: cross-wait=%v published=%d flush-batches=%d max-batch=%d host-blocked=%v\n",
-				time.Duration(c.CrossWaitNs), c.Published, c.FlushBatches, c.FlushMaxBatch, time.Duration(c.BlockedNs).Round(time.Millisecond))
-		}
+		fmt.Printf("sharded: components=%d largest=%d workers=%d\n", st.Components, st.Largest, st.Shards)
 	} else {
 		k := sim.NewKernel()
 		sys := stack.New(k, conf)
 		if err := artc.Init(sys, b, ""); err != nil {
 			return err
-		}
-		if *warm {
-			sys.WarmAll()
 		}
 		rep, err = artc.Replay(sys, b, opts)
 		if err != nil {
@@ -492,12 +389,7 @@ func traceCmd(args []string) error {
 	spanCap := fs.Int("span-cap", 0, "span ring capacity (0 = default)")
 	critHops := fs.Int("crit-hops", 20, "critical-path rows to print (0 = all)")
 	quiet := fs.Bool("quiet", false, "suppress the text summary and critical path on stderr")
-	noSamples := fs.Bool("no-samples", false, "drop counter samples from the export (probes observe per-replica scheduler state, so sliced and serial sample streams differ even when the replay itself is byte-identical)")
 	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
-	sliceProfile := fs.String("slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
-	warm := fs.Bool("warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
 	cacheDir, noCache := cacheFlags(fs)
 	fs.Parse(args)
 
@@ -543,7 +435,6 @@ func traceCmd(args []string) error {
 		ObsInterval: *interval,
 	}
 	var rep *artc.Report
-	var sst *artc.ShardStats
 	if *shards != 0 {
 		n := *shards
 		if n < 0 {
@@ -553,23 +444,10 @@ func traceCmd(args []string) error {
 			Shards: n,
 			Target: conf,
 			Init: func(sys *stack.System) error {
-				if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-					return err
-				}
-				if *warm {
-					sys.WarmAll()
-				}
-				return nil
+				return magritte.InitTarget(sys, b, conf.Platform == stack.Linux)
 			},
-			SliceActions: *sliceActions,
-			SliceMax:     *sliceMax,
 		}
-		so.SliceProfile, err = resolveSliceProfile(*sliceProfile, openStore(*cacheDir, *noCache), b, opts, so, *quiet)
-		if err != nil {
-			return err
-		}
-		rep, sst, err = artc.ReplaySharded(b, opts, so)
-		if err != nil {
+		if rep, _, err = artc.ReplaySharded(b, opts, so); err != nil {
 			return err
 		}
 	} else {
@@ -578,17 +456,11 @@ func traceCmd(args []string) error {
 		if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
 			return err
 		}
-		if *warm {
-			sys.WarmAll()
-		}
 		if rep, err = artc.Replay(sys, b, opts); err != nil {
 			return err
 		}
 	}
 
-	if *noSamples {
-		rec.ClearSamples()
-	}
 	w := os.Stdout
 	if *out != "-" {
 		f, err := os.Create(*out)
@@ -604,9 +476,6 @@ func traceCmd(args []string) error {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "replayed %d actions on %s in %v (virtual), errors=%d\n",
 			rep.Actions, conf.Name, rep.Elapsed, rep.Errors)
-		if sst != nil {
-			fmt.Fprintf(os.Stderr, "sharded: profiled=%v fingerprint=%016x\n", sst.Profiled, sst.PlanFingerprint)
-		}
 		fmt.Fprint(os.Stderr, rec.Summary())
 		fmt.Fprint(os.Stderr, rep.CriticalPath(b).Format(*critHops))
 	}
@@ -666,8 +535,6 @@ func chaosCmd(args []string) error {
 	out := fs.String("o", "", "write the first seed's export JSON (implies span recording)")
 	quiet := fs.Bool("quiet", false, "suppress per-seed summaries")
 	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
 	cacheDir, noCache := cacheFlags(fs)
 	fs.Parse(args)
 
@@ -700,11 +567,9 @@ func chaosCmd(args []string) error {
 			Retry:    fault.RetryPlan{MaxAttempts: *retries},
 			Watchdog: *watchdog,
 		},
-		Verify:   *verify,
-		Obs:      *out != "",
-		Shards:   *shards,
-		Slice:    *sliceActions,
-		SliceMax: *sliceMax,
+		Verify: *verify,
+		Obs:    *out != "",
+		Shards: *shards,
 	}
 
 	var results []*chaostest.Result

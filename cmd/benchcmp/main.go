@@ -38,14 +38,10 @@ var gatedMetrics = map[string]bool{
 	"kernel_pingpong_ns_per_op":        true,
 	"kernel_completion_ns_per_op":      true,
 	"pipeline_replay_ns":               true,
-	"pipeline_sliced_ns":               true,
-	"slice_profiled_ns":                true,
 	"records_per_second":               false,
 	"parse_records_per_second":         false,
 	"parse_sharded_records_per_second": false,
 	"shard_speedup":                    false,
-	"slice_speedup":                    false,
-	"slice_profiled_speedup":           false,
 }
 
 // dirMark annotates a one-sided gated metric with its direction, so the

@@ -67,40 +67,14 @@ type Stats struct {
 	ComponentsReplayNs   int64   `json:"components_replay_ns"`
 	ReplayShardedNs      int64   `json:"replay_sharded_ns"`
 	ShardCount           int     `json:"shard_count"`
-	CrossEdges           int     `json:"cross_edges"`
 	ShardSpeedup         float64 `json:"shard_speedup"`
 	ComponentsGoMaxProcs int     `json:"components_gomaxprocs"`
-	// Sliced replay over the pipeline corpus (tracegen -family pipeline):
-	// one weakly-connected component the partitioner cannot split, cut
-	// into 8 slices by resource-cut slicing and co-replayed under the
-	// epoch clock-exchange coordinator. Both sides replay with warmed
-	// caches (the device-independence precondition for sliced
-	// byte-identity), so the comparison isolates coordination cost.
-	PipelineRecords    int     `json:"pipeline_records"`
-	PipelineReplayNs   int64   `json:"pipeline_replay_ns"`
-	PipelineSlicedNs   int64   `json:"pipeline_sliced_ns"`
-	PipelineSlices     int     `json:"pipeline_slices"`
-	PipelineCrossEdges int     `json:"pipeline_cross_edges"`
-	SliceSpeedup       float64 `json:"slice_speedup"`
-	PipelineGoMaxProcs int     `json:"pipeline_gomaxprocs"`
-	// Profile-guided re-slicing over the hot-stage pipeline variant
-	// (tracegen -family pipeline -hot-stage): one stage's private writes
-	// are several pages wide, a cost skew invisible to the static
-	// slicer's action-count balance but visible to a profiling replay's
-	// observed per-atom cost. Serial, static-cut sliced, and
-	// profile-guided re-cut wall times on the same corpus; the profiled
-	// run re-cuts with the profile the static sliced run emitted, so the
-	// delta between PipelineHotSlicedNs and SliceProfiledNs is what one
-	// profiled re-cut buys.
-	PipelineHotRecords       int     `json:"pipeline_hot_records"`
-	PipelineHotStage         int     `json:"pipeline_hot_stage"`
-	PipelineHotPages         int     `json:"pipeline_hot_pages"`
-	PipelineHotSlices        int     `json:"pipeline_hot_slices"`
-	PipelineHotReplayNs      int64   `json:"pipeline_hot_replay_ns"`
-	PipelineHotSlicedNs      int64   `json:"pipeline_hot_sliced_ns"`
-	PipelineHotStaticSpeedup float64 `json:"pipeline_hot_static_speedup"`
-	SliceProfiledNs          int64   `json:"slice_profiled_ns"`
-	SliceProfiledSpeedup     float64 `json:"slice_profiled_speedup"`
+	// Serial replay over the pipeline corpus (tracegen -family pipeline
+	// -fsync N): one component the partitioner keeps whole, dominated by
+	// fsync writeback of a large resident page cache.
+	PipelineRecords    int   `json:"pipeline_records"`
+	PipelineReplayNs   int64 `json:"pipeline_replay_ns"`
+	PipelineGoMaxProcs int   `json:"pipeline_gomaxprocs"`
 	// Observability: wall time of an obs-instrumented replay (the delta
 	// against ReplayNs is the recorder's enabled-path overhead), recorded
 	// volumes, and the replay's critical path.
@@ -176,23 +150,15 @@ func measureComponents(st *Stats, n, ops int, skew float64, procs int) {
 	}
 	st.ReplayShardedNs = time.Since(t0).Nanoseconds()
 	st.ShardCount = shst.Components
-	st.CrossEdges = shst.CrossEdges
 	if st.ReplayShardedNs > 0 {
 		st.ShardSpeedup = float64(st.ComponentsReplayNs) / float64(st.ReplayShardedNs)
 	}
 }
 
-// measurePipeline times the serial and sliced replayers over the
-// pipeline slicing corpus: a single weakly-connected component the
-// component partitioner keeps whole, split 8 ways along resource cuts.
-// The measured shape is the fsync-heavy writeback variant replayed
-// cold: serial fsync writeback scans the one machine's whole resident
-// cache while each slice replica scans only its own working set, the
-// same per-replica state reduction the components corpus measures.
-// Slicing it needs SliceDeviceSync, so this is a perf-only regime —
-// the byte-identity contract is asserted separately over warmed,
-// fsync-free corpora (internal/artc slice tests, Magritte suite).
-func measurePipeline(st *Stats, stages, ops, handoff, fsync, slices, procs int) {
+// measurePipeline times the serial replayer over the fsync-heavy
+// pipeline corpus: a single component the partitioner keeps whole, so
+// serial replay is the only path it has.
+func measurePipeline(st *Stats, stages, ops, handoff, fsync, procs int) {
 	if procs > 0 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	}
@@ -224,100 +190,6 @@ func measurePipeline(st *Stats, stages, ops, handoff, fsync, slices, procs int) 
 		os.Exit(1)
 	}
 	st.PipelineReplayNs = time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	_, shst, err := artc.ReplaySharded(b, artc.Options{}, artc.ShardOptions{
-		Target:          target,
-		Init:            func(sys *stack.System) error { return artc.Init(sys, b, "") },
-		SliceActions:    len(tr.Records)/slices + 1,
-		SliceDeviceSync: true,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline sliced replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineSlicedNs = time.Since(t0).Nanoseconds()
-	st.PipelineSlices = shst.Components
-	st.PipelineCrossEdges = shst.CrossEdges
-	if st.PipelineSlicedNs > 0 {
-		st.SliceSpeedup = float64(st.PipelineReplayNs) / float64(st.PipelineSlicedNs)
-	}
-}
-
-// measurePipelineHot times serial, static-cut sliced, and
-// profile-guided sliced replays over the hot-stage pipeline variant.
-// The slice count is deliberately smaller than the stage count so the
-// static cut must co-locate the hot stage's atom with a cold one —
-// action counts are identical across stages, so the static slicer
-// cannot see the skew — and the profiled re-cut can isolate it.
-func measurePipelineHot(st *Stats, stages, ops, handoff, fsync, hotStage, hotPages, slices, procs int, fileMB int64) {
-	if procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	tr, snap, err := workload.SynthPipeline(workload.Pipeline{
-		Stages: stages, Ops: ops, Handoff: handoff, Fsync: fsync, FileBytes: fileMB << 20, Seed: 7,
-		HotStage: hotStage, HotPages: hotPages,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline:", err)
-		os.Exit(1)
-	}
-	b, err := artc.Compile(tr, snap, core.DefaultModes())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline compile:", err)
-		os.Exit(1)
-	}
-	st.PipelineHotRecords = len(tr.Records)
-	st.PipelineHotStage = hotStage
-	st.PipelineHotPages = hotPages
-	target := magritte.DefaultSuiteOptions().Target
-
-	t0 := time.Now()
-	k := sim.NewKernel()
-	sys := stack.New(k, target)
-	if err := artc.Init(sys, b, ""); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline init:", err)
-		os.Exit(1)
-	}
-	if _, err := artc.Replay(sys, b, artc.Options{}); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineHotReplayNs = time.Since(t0).Nanoseconds()
-
-	so := artc.ShardOptions{
-		Target:          target,
-		Init:            func(sys *stack.System) error { return artc.Init(sys, b, "") },
-		SliceActions:    len(tr.Records)/slices + 1,
-		SliceDeviceSync: true,
-	}
-	t0 = time.Now()
-	_, shst, err := artc.ReplaySharded(b, artc.Options{}, so)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline sliced replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineHotSlicedNs = time.Since(t0).Nanoseconds()
-	st.PipelineHotSlices = shst.Components
-	if st.PipelineHotSlicedNs > 0 {
-		st.PipelineHotStaticSpeedup = float64(st.PipelineHotReplayNs) / float64(st.PipelineHotSlicedNs)
-	}
-	if shst.Profile == nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline sliced replay produced no profile; profiled metrics unset")
-		return
-	}
-
-	so.SliceProfile = shst.Profile
-	t0 = time.Now()
-	_, _, err = artc.ReplaySharded(b, artc.Options{}, so)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline profiled replay:", err)
-		os.Exit(1)
-	}
-	st.SliceProfiledNs = time.Since(t0).Nanoseconds()
-	if st.SliceProfiledNs > 0 {
-		st.SliceProfiledSpeedup = float64(st.PipelineHotReplayNs) / float64(st.SliceProfiledNs)
-	}
 }
 
 // microbench runs fn through the testing harness and returns ns/op and
@@ -331,7 +203,7 @@ func microbench(fn func(b *testing.B)) (nsPerOp, allocsPerOp float64) {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_pr4.json", "output JSON path")
+	out := flag.String("o", "perfstat.json", "output JSON path (scripts/ci.sh bench writes BENCH_<tag>.json)")
 	name := flag.String("trace", "pages_docphoto15", "magritte trace name")
 	scale := flag.Float64("scale", 0.02, "magritte generation scale")
 	iters := flag.Int("iters", 5, "compile iterations to average")
@@ -339,17 +211,11 @@ func main() {
 	compN := flag.Int("components", 64, "components corpus group count")
 	compSkew := flag.Float64("components-skew", 0.5, "components corpus size skew")
 	compProcs := flag.Int("components-procs", 8, "GOMAXPROCS pinned for the components serial/sharded comparison (0 inherits)")
-	pipeOps := flag.Int("pipeline-ops", 16000, "pipeline corpus ops per stage (0 skips the sliced-replay measurement)")
+	pipeOps := flag.Int("pipeline-ops", 16000, "pipeline corpus ops per stage (0 skips the pipeline measurement)")
 	pipeStages := flag.Int("pipeline-stages", 8, "pipeline corpus stage count")
 	pipeHandoff := flag.Int("pipeline-handoff", 64, "pipeline corpus ops between boundary exchanges")
 	pipeFsync := flag.Int("pipeline-fsync", 2, "pipeline corpus fsync interval in private write sessions (0 disables fsync)")
-	pipeSlices := flag.Int("pipeline-slices", 8, "slice count for the sliced pipeline replay")
-	pipeProcs := flag.Int("pipeline-procs", 8, "GOMAXPROCS pinned for the pipeline serial/sliced comparison (0 inherits)")
-	pipeHotStage := flag.Int("pipeline-hot-stage", 2, "hot stage (1-based) for the profiled re-slicing comparison (0 skips it)")
-	pipeHotOps := flag.Int("pipeline-hot-ops", 3000, "hot pipeline corpus ops per stage")
-	pipeHotPages := flag.Int("pipeline-hot-pages", 512, "pages per private write on the hot stage")
-	pipeHotSlices := flag.Int("pipeline-hot-slices", 4, "slice count for the hot pipeline replays (fewer than stages, so the static cut must co-locate the hot atom)")
-	pipeHotFileMB := flag.Int64("pipeline-hot-filemb", 192, "hot pipeline corpus file size in MiB (caps the hot stage's resident footprint; large enough that cold stages never saturate and the hot atom dominates the writeback scan)")
+	pipeProcs := flag.Int("pipeline-procs", 8, "GOMAXPROCS pinned for the pipeline replay (0 inherits)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
@@ -588,11 +454,7 @@ func main() {
 		measureComponents(&st, *compN, *compOps, *compSkew, *compProcs)
 	}
 	if *pipeOps > 0 {
-		measurePipeline(&st, *pipeStages, *pipeOps, *pipeHandoff, *pipeFsync, *pipeSlices, *pipeProcs)
-		if *pipeHotStage > 0 {
-			measurePipelineHot(&st, *pipeStages, *pipeHotOps, *pipeHandoff, *pipeFsync,
-				*pipeHotStage, *pipeHotPages, *pipeHotSlices, *pipeProcs, *pipeHotFileMB)
-		}
+		measurePipeline(&st, *pipeStages, *pipeOps, *pipeHandoff, *pipeFsync, *pipeProcs)
 	}
 
 	f, err := os.Create(*out)
@@ -623,21 +485,13 @@ func main() {
 		float64(st.ObsReplayNs)/1e6, float64(st.ReplayNs)/1e6, st.ObsSpans, st.ObsSamples,
 		st.CritPathHops, cp.InCall, cp.Slack)
 	if st.ComponentsRecords > 0 {
-		fmt.Printf("perfstat: components corpus %d records / %d shards (%d cross edges, GOMAXPROCS=%d): serial %.0f ms, sharded %.0f ms (%.2fx)\n",
-			st.ComponentsRecords, st.ShardCount, st.CrossEdges, st.ComponentsGoMaxProcs,
+		fmt.Printf("perfstat: components corpus %d records / %d shards (GOMAXPROCS=%d): serial %.0f ms, sharded %.0f ms (%.2fx)\n",
+			st.ComponentsRecords, st.ShardCount, st.ComponentsGoMaxProcs,
 			float64(st.ComponentsReplayNs)/1e6, float64(st.ReplayShardedNs)/1e6, st.ShardSpeedup)
 	}
 	if st.PipelineRecords > 0 {
-		fmt.Printf("perfstat: pipeline corpus %d records / %d slices (%d cross edges, GOMAXPROCS=%d): serial %.0f ms, sliced %.0f ms (%.2fx)\n",
-			st.PipelineRecords, st.PipelineSlices, st.PipelineCrossEdges, st.PipelineGoMaxProcs,
-			float64(st.PipelineReplayNs)/1e6, float64(st.PipelineSlicedNs)/1e6, st.SliceSpeedup)
-	}
-	if st.PipelineHotRecords > 0 {
-		fmt.Printf("perfstat: hot pipeline corpus %d records (stage %d x%d pages) / %d slices: serial %.0f ms, static cut %.0f ms (%.2fx), profiled re-cut %.0f ms (%.2fx)\n",
-			st.PipelineHotRecords, st.PipelineHotStage, st.PipelineHotPages, st.PipelineHotSlices,
-			float64(st.PipelineHotReplayNs)/1e6,
-			float64(st.PipelineHotSlicedNs)/1e6, st.PipelineHotStaticSpeedup,
-			float64(st.SliceProfiledNs)/1e6, st.SliceProfiledSpeedup)
+		fmt.Printf("perfstat: pipeline corpus %d records (GOMAXPROCS=%d): serial %.0f ms\n",
+			st.PipelineRecords, st.PipelineGoMaxProcs, float64(st.PipelineReplayNs)/1e6)
 	}
 	fmt.Printf("perfstat: kernel timer churn %.1f ns/op (%.0f allocs/op), sleep %.1f ns/op, ping-pong %.1f ns/op, completion %.1f ns/op\n",
 		st.KernelTimerChurnNsPerOp, st.KernelTimerChurnAllocsPerOp,

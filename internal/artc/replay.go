@@ -121,12 +121,6 @@ type Report struct {
 	// the replay (nil when no injector was configured).
 	FaultStats *fault.Stats
 
-	// Coord holds the clock-exchange coordinator's wait accounting for
-	// sharded replays (nil for serial replays or cross-edge-free plans).
-	// Excluded from JSON so sharded exports stay byte-identical to
-	// serial ones; the deterministic parts feed shard.SliceProfile.
-	Coord *CoordStats `json:"-"`
-
 	// graph retains the enforced dependency graph for post-hoc analysis
 	// (CriticalPath); unexported so reports stay JSON-light.
 	graph *core.Graph
@@ -549,10 +543,6 @@ func (rs *replayState) buildStall(trigger string) *StallReport {
 		switch {
 		case rs.waiting[i] != nil:
 			ba.Reason = rs.waitReason(i)
-		case rs.sub != nil && rs.sub.crossWaitEdge[i] >= 0:
-			// Parked on a clock-exchange barrier: name the peer shard and
-			// edge rather than reporting a spurious local deadlock.
-			ba.Reason = rs.sub.crossReason(i)
 		case rs.status[i]&actIssued != 0:
 			ba.Reason = "in call"
 		default:
@@ -666,13 +656,6 @@ func (rs *replayState) waitReason(idx int) string {
 // predelay, and executes it, releasing successor edges at issue and
 // completion.
 func (rs *replayState) playAction(t *sim.Thread, idx int) {
-	if rs.sub != nil {
-		// A sliced-off thread predecessor must complete before this
-		// action even begins its wait: the serial replayer's thread
-		// would not have arrived here yet. Runs before the wait-start
-		// sample so sliced spans open at the serial instant.
-		rs.sub.waitThreadPrev(rs, t, idx)
-	}
 	var waitStart time.Duration
 	if rs.obs != nil {
 		waitStart = rs.sys.K.Now() - rs.start
@@ -683,9 +666,6 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 			t.ParkFn(func() string { return rs.waitReason(idx) })
 		}
 		rs.waiting[idx] = nil
-	}
-	if rs.sub != nil {
-		rs.sub.waitCross(rs, t, idx)
 	}
 	var slept time.Duration
 	switch rs.opts.Speed {
@@ -703,9 +683,6 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		if rs.g.Edges[ei].Kind == core.WaitIssue {
 			rs.depSatisfied(ei)
 		}
-	}
-	if rs.sub != nil {
-		rs.sub.publishCross(idx, core.WaitIssue, now)
 	}
 
 	ret, errno, emulated, injected := rs.execute(t, idx, 0)
@@ -736,9 +713,6 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 			rs.depSatisfied(ei)
 		}
 	}
-	if rs.sub != nil {
-		rs.sub.publishCross(idx, core.WaitComplete, end)
-	}
 
 	rec := rs.b.Trace.Records[idx]
 	d := end - now
@@ -761,11 +735,11 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 			ReleasedBy: -1,
 		}
 		if rs.sub != nil {
-			sp.Shard = rs.sub.orig
-			rs.sub.fillReleasedBy(rs, idx, &sp)
-		} else if re := rs.releasedEdge[idx]; re >= 0 {
+			sp.Shard = rs.sub.comp
+		}
+		if re := rs.releasedEdge[idx]; re >= 0 {
 			e := &rs.g.Edges[re]
-			sp.ReleasedBy = int32(e.From)
+			sp.ReleasedBy = int32(rs.gi(e.From))
 			sp.ReleasedAt = rs.releasedAt[idx]
 			if e.Res != (core.ResourceID{}) {
 				sp.ReleaseRes = e.Res.String()

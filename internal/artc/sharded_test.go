@@ -12,7 +12,6 @@ import (
 	"rootreplay/internal/core"
 	"rootreplay/internal/fault"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/shard"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
@@ -138,7 +137,7 @@ func TestShardedSingleComponentByteIdentical(t *testing.T) {
 
 		shardRec := obs.NewRecorder(0, 0)
 		rep, st := shardedOn(t, tr, snap, Options{Method: m, Obs: shardRec}, 0, nil)
-		if st.Components != 1 || st.CrossEdges != 0 {
+		if st.Components != 1 {
 			t.Fatalf("%s: shared-directory trace split: %+v", m, st)
 		}
 		if got, want := reportJSON(t, rep), reportJSON(t, serial); got != want {
@@ -165,7 +164,7 @@ func TestShardedIsolatedDeterministicAcrossShardCounts(t *testing.T) {
 	var base string
 	for _, shards := range []int{1, 2, 4, 8} {
 		rep, st := shardedOn(t, tr, snap, Options{}, shards, nil)
-		if st.Components != nComp || st.Clusters != nComp || st.CrossEdges != 0 {
+		if st.Components != nComp {
 			t.Fatalf("shards=%d: unexpected partition %+v", shards, st)
 		}
 		if st.Shards != shards {
@@ -187,53 +186,46 @@ func TestShardedIsolatedDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// Program-order mode chains every action across components; the cluster
-// coordinator must enforce those cross edges (SelfCheck validates the
-// merged order against the full graph) and stay deterministic across
-// worker bounds.
-func TestShardedProgramSeqBarriers(t *testing.T) {
+// A dependency chain over otherwise isolated groups — program order,
+// temporal adjacency, or the single method's one replay thread — joins
+// them into one component, which replays on one kernel exactly as the
+// serial replayer does: report, spans, and counter samples are
+// byte-identical at every worker bound.
+func TestShardedChainedGroupsMatchSerial(t *testing.T) {
 	tr, snap := genGroups(t, 4, 40, false)
-	modes := core.ModeSet{ProgramSeq: true}
-	var base string
-	for _, shards := range []int{1, 2, 8} {
-		rep, st := shardedOn(t, tr, snap, Options{Modes: &modes}, shards, nil)
-		if st.CrossEdges == 0 {
-			t.Fatalf("program-seq partition registered no cross edges: %+v", st)
-		}
-		if st.Clusters != 1 {
-			t.Fatalf("program-seq components not clustered: %+v", st)
-		}
-		if rep.Errors != 0 {
-			t.Fatalf("shards=%d: %d semantic errors: %v", shards, rep.Errors, rep.ErrorSamples)
-		}
-		js := reportJSON(t, rep)
-		if base == "" {
-			base = js
-		} else if js != base {
-			t.Fatalf("shards=%d: program-seq report differs from shards=1", shards)
-		}
-	}
-}
-
-// Temporal replay induces issue-order cross edges between components;
-// same barrier-correctness and determinism contract as program order.
-func TestShardedTemporalBarriers(t *testing.T) {
-	tr, snap := genGroups(t, 3, 30, false)
-	var base string
-	for _, shards := range []int{1, 4} {
-		rep, st := shardedOn(t, tr, snap, Options{Method: MethodTemporal}, shards, nil)
-		if st.CrossEdges == 0 {
-			t.Fatalf("temporal partition registered no cross edges: %+v", st)
-		}
-		if rep.Errors != 0 {
-			t.Fatalf("shards=%d: %d semantic errors: %v", shards, rep.Errors, rep.ErrorSamples)
-		}
-		js := reportJSON(t, rep)
-		if base == "" {
-			base = js
-		} else if js != base {
-			t.Fatalf("shards=%d: temporal report differs from shards=1", shards)
-		}
+	progSeq := core.ModeSet{ProgramSeq: true}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"program_seq", Options{Modes: &progSeq}},
+		{"temporal", Options{Method: MethodTemporal}},
+		{"single", Options{Method: MethodSingle}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serialRec := obs.NewRecorder(0, 0)
+			opts := tc.opts
+			opts.Obs = serialRec
+			serial := replayOn(t, tr, snap, defaultConf(), opts)
+			want := reportJSON(t, serial)
+			for _, shards := range []int{1, 2, 8} {
+				shardRec := obs.NewRecorder(0, 0)
+				opts.Obs = shardRec
+				rep, st := shardedOn(t, tr, snap, opts, shards, nil)
+				if st.Components != 1 {
+					t.Fatalf("shards=%d: chained groups split into %d components", shards, st.Components)
+				}
+				if got := reportJSON(t, rep); got != want {
+					t.Fatalf("shards=%d: sharded report differs from serial:\n got %s\nwant %s", shards, got, want)
+				}
+				if !reflect.DeepEqual(shardRec.Spans(), serialRec.Spans()) {
+					t.Fatalf("shards=%d: sharded spans differ from serial", shards)
+				}
+				if !reflect.DeepEqual(shardRec.Samples(), serialRec.Samples()) {
+					t.Fatalf("shards=%d: sharded samples differ from serial", shards)
+				}
+			}
+		})
 	}
 }
 
@@ -287,8 +279,8 @@ func TestShardedFaultDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// An error-budget abort in one member must abort the whole cluster and
-// surface the member's structured stall report.
+// An error-budget abort in a component must abort the sharded replay
+// and surface that component's structured stall report.
 func TestShardedAbortPropagates(t *testing.T) {
 	tr, snap := genGroups(t, 3, 40, false)
 	plan := fault.Plan{
@@ -296,8 +288,7 @@ func TestShardedAbortPropagates(t *testing.T) {
 		Syscall: fault.SyscallPlan{Rate: 1.0},
 		Degrade: fault.DegradeAbort,
 	}
-	modes := core.ModeSet{ProgramSeq: true} // cluster the components
-	_, _, err := shardedOnErr(t, tr, snap, Options{Modes: &modes}, 0, &plan)
+	_, _, err := shardedOnErr(t, tr, snap, Options{}, 0, &plan)
 	if err == nil {
 		t.Fatal("full-rate abort plan replayed cleanly")
 	}
@@ -321,46 +312,5 @@ func TestShardedRejectsOptionsFault(t *testing.T) {
 	_, _, err = ReplaySharded(b, Options{Fault: fault.New(fault.Plan{})}, ShardOptions{Target: defaultConf()})
 	if err == nil || !strings.Contains(err.Error(), "ShardOptions.Fault") {
 		t.Fatalf("Options.Fault accepted: %v", err)
-	}
-}
-
-// A cross-shard barrier wait must name the peer shard and edge in park
-// and stall reasons, not read as a spurious local deadlock.
-func TestShardedCrossReasonNamesPeer(t *testing.T) {
-	tr, snap := genGroups(t, 2, 10, false)
-	modes := core.ModeSet{ProgramSeq: true}
-	b, err := Compile(tr, snap, modes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Modes: &modes}
-	g, err := methodGraph(b, &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := shard.Partition(b.Analysis, g)
-	if len(plan.Components) != 2 || len(plan.Cross) == 0 {
-		t.Fatalf("want 2 cross-connected components, got %d components, %d cross edges",
-			len(plan.Components), len(plan.Cross))
-	}
-	shards := buildShards(b, g, plan, false)
-	ce := plan.Cross[0]
-	sub := shards[ce.To].sub
-	e := &g.Edges[ce.Edge]
-	var li int32 = -1
-	for l, gi := range sub.global {
-		if int(gi) == e.To {
-			li = int32(l)
-			break
-		}
-	}
-	if li < 0 {
-		t.Fatalf("edge target %d not in component %d", e.To, ce.To)
-	}
-	sub.crossWaitEdge[li] = ce.Edge
-	reason := sub.crossReason(int(li))
-	want := fmt.Sprintf("awaiting action %d (shard %d)", e.From, ce.From)
-	if !strings.Contains(reason, want) || !strings.Contains(reason, fmt.Sprintf("action %d:", e.To)) {
-		t.Fatalf("cross reason %q does not name peer (want %q)", reason, want)
 	}
 }

@@ -207,15 +207,9 @@ func (s *Store) Put(key string, b *artc.Benchmark) (int64, error) {
 }
 
 // isEntry reports whether a cache file is a live store entry — a
-// compiled benchmark or a slice profile — as opposed to an abandoned
-// temp file.
-func isEntry(p string) bool {
-	switch filepath.Ext(p) {
-	case ".artc", ".sliceprof":
-		return true
-	}
-	return false
-}
+// compiled benchmark — as opposed to an abandoned temp file or a
+// leftover of an entry kind the store no longer writes.
+func isEntry(p string) bool { return filepath.Ext(p) == ".artc" }
 
 // entry is one cache file seen by the evictor.
 type entry struct {

@@ -212,18 +212,26 @@ func TestStaleTempFilesCleaned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, ".put-stale")
-	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// An abandoned temp file, and a slice profile left by a store
+	// version that still wrote them: both are stray files now.
 	old := time.Now().Add(-2 * time.Hour)
-	os.Chtimes(stale, old, old)
+	var stale []string
+	for _, name := range []string{".put-stale", "0123abcd.sliceprof"} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		os.Chtimes(p, old, old)
+		stale = append(stale, p)
+	}
 	gen := genBench(t)
 	if _, err := s.Put(Key([]byte("x"), nil, "linux", core.DefaultModes()), mustCompile(t, gen)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stale temp file not cleaned")
+	for _, p := range stale {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("stale file %s not cleaned", filepath.Base(p))
+		}
 	}
 }
 

@@ -239,26 +239,6 @@ func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 	c.evictFor(t, 0)
 }
 
-// Warm makes pages [start, start+n) of file resident and clean in zero
-// virtual time: the instant-setup analogue of Read, for constructing a
-// machine whose caches are hot at measurement start. Stats stay
-// untouched — warming happens outside the measured run — and warming
-// stops at capacity rather than evicting resident state.
-func (c *Cache) Warm(file FileID, m Mapper, start, n int64) {
-	for i := start; i < start+n; i++ {
-		key := pageKey{file, i}
-		if _, ok := c.pages[key]; ok {
-			continue
-		}
-		if c.capacity > 0 && int64(len(c.pages)) >= c.capacity {
-			return
-		}
-		p := &page{key: key, lba: m(i)}
-		p.lru = c.lru.PushFront(p)
-		c.pages[key] = p
-	}
-}
-
 // Write dirties pages [start, start+n) of file in memory. It returns
 // immediately in virtual time except when eviction forces writeback.
 func (c *Cache) Write(t *sim.Thread, file FileID, m Mapper, start, n int64) {

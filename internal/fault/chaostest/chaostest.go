@@ -54,12 +54,6 @@ type Options struct {
 	// one; every invariant — including Verify's bit-reproducibility —
 	// must hold identically.
 	Shards int
-	// Slice, when positive, additionally enables resource-cut slicing
-	// (ShardOptions.SliceActions) with this action threshold, so the
-	// sweep exercises the clock-exchange coordinator under faults.
-	Slice int
-	// SliceMax caps the slices per component (0 = no cap).
-	SliceMax int
 }
 
 // Result is one seed's outcome. An empty Violations slice means every
@@ -183,9 +177,7 @@ func replayOnce(opts Options, seed uint64) (rep *artc.Report, rec *obs.Recorder,
 			Init: func(sys *stack.System) error {
 				return magritte.InitTarget(sys, opts.Bench, opts.Target.Platform == stack.Linux)
 			},
-			Fault:        &plan,
-			SliceActions: opts.Slice,
-			SliceMax:     opts.SliceMax,
+			Fault: &plan,
 		})
 	} else {
 		in := fault.New(plan)

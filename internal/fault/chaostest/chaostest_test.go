@@ -65,10 +65,10 @@ func TestSweepInvariantsHold(t *testing.T) {
 	}
 }
 
-// A sliced sharded sweep — the clock-exchange coordinator under random
-// faults — must uphold the same invariants at every shard count,
-// including per-seed bit-reproducibility.
-func TestSweepSlicedInvariantsHold(t *testing.T) {
+// A sharded sweep — per-replica injectors under random faults — must
+// uphold the same invariants at every shard count, including per-seed
+// bit-reproducibility.
+func TestSweepShardedInvariantsHold(t *testing.T) {
 	b := compileSmall(t)
 	for _, shards := range []int{1, 2, 4, 8} {
 		opts := Options{
@@ -78,7 +78,6 @@ func TestSweepSlicedInvariantsHold(t *testing.T) {
 			Verify: true,
 			Obs:    true,
 			Shards: shards,
-			Slice:  len(b.Trace.Records)/4 + 1,
 		}
 		for _, res := range Sweep(opts, Seeds(1, 2)) {
 			if !res.OK() {

@@ -68,74 +68,6 @@ func TestShardedMagritteMatchesSerial(t *testing.T) {
 	}
 }
 
-// Slicing enabled must preserve the same contract: byte-identical to
-// serial artc.Replay on every spec, at every shard count. The corpus
-// traces funnel through shared directories, so most specs are a single
-// resource atom the slicer refuses to cut; for the specs that do cut,
-// both sides replay with warmed caches (stack.System.WarmAll) — the
-// device-independence precondition slicing's byte-identity is defined
-// under, since each slice replica owns a private device whose queue
-// would otherwise time cold misses differently than the serial run's
-// single shared device.
-func TestSlicedMagritteMatchesSerial(t *testing.T) {
-	opts := magritte.DefaultSuiteOptions()
-	specs := magritte.Specs
-	if testing.Short() {
-		specs = specs[:6]
-	}
-	sliced := 0
-	for _, spec := range specs {
-		spec := spec
-		t.Run(spec.FullName(), func(t *testing.T) {
-			gen, err := magritte.Generate(spec, opts.Gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := artc.Compile(gen.Trace, gen.Snapshot, core.DefaultModes())
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			k := sim.NewKernel()
-			sys := stack.New(k, opts.Target)
-			if err := magritte.InitTarget(sys, b, opts.DevRandomSymlink); err != nil {
-				t.Fatal(err)
-			}
-			sys.WarmAll()
-			serial, err := artc.Replay(sys, b, artc.Options{Speed: artc.AFAP, SelfCheck: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := marshal(t, serial)
-
-			for _, shards := range []int{1, 4, 8} {
-				rep, st, err := artc.ReplaySharded(b,
-					artc.Options{Speed: artc.AFAP, SelfCheck: true},
-					artc.ShardOptions{
-						Shards: shards,
-						Target: opts.Target,
-						Init: func(sys *stack.System) error {
-							if err := magritte.InitTarget(sys, b, opts.DevRandomSymlink); err != nil {
-								return err
-							}
-							sys.WarmAll()
-							return nil
-						},
-						SliceActions: len(b.Trace.Records)/8 + 1,
-					})
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				sliced += st.Sliced
-				if got := marshal(t, rep); got != want {
-					t.Fatalf("shards=%d: sliced report differs from serial (slices=%d)", shards, st.Components)
-				}
-			}
-		})
-	}
-	t.Logf("specs where slicing cut the component: %d", sliced)
-}
-
 func marshal(t *testing.T, rep *artc.Report) string {
 	t.Helper()
 	buf, err := json.Marshal(rep)

@@ -52,10 +52,9 @@ func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecon
 // WriteChrome writes the recorder's contents as Chrome trace_event JSON.
 // Spans are emitted in canonical (Done, Action) order rather than raw
 // record order: completion times are monotone within a run, so the sort
-// only permutes same-instant ties — and those ties are where serial and
-// sliced replays legitimately record in different (but equally valid)
-// orders. Canonicalizing here makes the export a pure function of the
-// recorded span set, so sliced output can be byte-compared to serial.
+// only permutes same-instant ties. Canonicalizing here makes the export
+// a pure function of the recorded span set, whatever order the replayer
+// recorded same-instant completions in.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	spans := r.Spans()
 	sort.Slice(spans, func(i, j int) bool {

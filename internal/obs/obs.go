@@ -79,11 +79,6 @@ const (
 	// CounterDevUtil is device utilization over the sampling window, in
 	// percent, normalized by device parallelism.
 	CounterDevUtil
-	// CounterCrossWait is a sliced replay member's cumulative virtual
-	// time spent awaiting cross-slice edges, in nanoseconds. Sampled per
-	// slice replica; the virtual measurement is deterministic, so the
-	// track is byte-identical across hosts and GOMAXPROCS.
-	CounterCrossWait
 
 	numCounters
 )
@@ -99,8 +94,6 @@ func (k CounterKind) String() string {
 		return "io_inflight"
 	case CounterDevUtil:
 		return "dev_util_pct"
-	case CounterCrossWait:
-		return "cross_wait_ns"
 	default:
 		return fmt.Sprintf("counter_%d", uint8(k))
 	}
@@ -228,20 +221,6 @@ func (r *Recorder) Samples() []Sample {
 	out = append(out, r.samples[r.sampleHead:]...)
 	out = append(out, r.samples[:r.sampleHead]...)
 	return out
-}
-
-// ClearSamples discards the recorded counter samples (spans are kept).
-// Counter probes observe per-replica scheduler and device state, so a
-// sliced replay's samples legitimately differ from a serial run's;
-// differential byte comparisons drop them before exporting.
-func (r *Recorder) ClearSamples() {
-	if r == nil {
-		return
-	}
-	r.samples = r.samples[:0]
-	r.sampleHead, r.sampleDrop = 0, 0
-	r.lastVal = [numCounters]float64{}
-	r.lastValid = [numCounters]bool{}
 }
 
 // Dropped reports how many spans and samples were overwritten by ring

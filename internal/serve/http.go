@@ -165,10 +165,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req jobRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		s.jsonError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	"rootreplay/internal/stack"
@@ -72,12 +74,8 @@ type jobRequest struct {
 	// Method is the replay ordering method (default artc).
 	Method string `json:"method,omitempty"`
 	// Shards > 0 replays through the sharded replayer with that worker
-	// bound; SliceActions/SliceMax add resource-cut slicing.
-	Shards       int  `json:"shards,omitempty"`
-	SliceActions int  `json:"slice_actions,omitempty"`
-	SliceMax     int  `json:"slice_max,omitempty"`
-	Warm         bool `json:"warm,omitempty"`
-	NoSamples    bool `json:"no_samples,omitempty"`
+	// bound.
+	Shards int `json:"shards,omitempty"`
 	// Chaos controls: Seeds consecutive seeds starting at Seed, each
 	// verified (replayed twice, compared bit-for-bit) when Verify.
 	Seed   uint64 `json:"seed,omitempty"`
@@ -95,6 +93,17 @@ const (
 	maxSleepMs = 60_000
 )
 
+// decodeJobRequest strictly decodes one submission document: unknown
+// fields are an error, so a field the service does not implement can
+// never be silently ignored.
+func decodeJobRequest(r io.Reader) (jobRequest, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req jobRequest
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // normalize validates req and fills defaults, returning a contract
 // error message ("" when valid). It never mutates on failure paths the
 // caller can observe — failures reject the submission outright.
@@ -107,6 +116,9 @@ func (s *Server) normalize(req *jobRequest) string {
 		}
 		if req.Ms < 0 || req.Ms > maxSleepMs {
 			return fmt.Sprintf("ms out of range [0, %d]", maxSleepMs)
+		}
+		if (*req != jobRequest{Kind: req.Kind, Ms: req.Ms}) {
+			return "kind sleep takes only ms"
 		}
 		return ""
 	default:
@@ -139,12 +151,6 @@ func (s *Server) normalize(req *jobRequest) string {
 	}
 	if req.Shards < 0 || req.Shards > maxShards {
 		return fmt.Sprintf("shards out of range [0, %d]", maxShards)
-	}
-	if req.SliceActions < 0 || req.SliceMax < 0 {
-		return "slice_actions and slice_max must be >= 0"
-	}
-	if req.SliceActions > 0 && req.Shards == 0 {
-		return "slice_actions requires shards"
 	}
 	if req.Kind == "chaos" {
 		if req.Seeds == 0 {

@@ -192,16 +192,8 @@ func (s *Server) runReplay(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte
 			Shards: req.Shards,
 			Target: conf,
 			Init: func(sys *stack.System) error {
-				if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-					return err
-				}
-				if req.Warm {
-					sys.WarmAll()
-				}
-				return nil
+				return magritte.InitTarget(sys, b, conf.Platform == stack.Linux)
 			},
-			SliceActions: req.SliceActions,
-			SliceMax:     req.SliceMax,
 		}
 		rep, _, err = artc.ReplaySharded(b, opts, so)
 	} else {
@@ -210,18 +202,12 @@ func (s *Server) runReplay(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte
 		if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
 			return nil, "", err
 		}
-		if req.Warm {
-			sys.WarmAll()
-		}
 		rep, err = artc.Replay(sys, b, opts)
 	}
 	if err != nil {
 		return nil, "", err
 	}
 	if j.Kind == "export" {
-		if req.NoSamples {
-			rec.ClearSamples()
-		}
 		var buf bytes.Buffer
 		if err := rec.WriteChrome(&buf); err != nil {
 			return nil, "", err
@@ -283,10 +269,8 @@ func (s *Server) runChaos(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte,
 			Retry:    fault.RetryPlan{MaxAttempts: 4},
 			Watchdog: time.Minute,
 		},
-		Verify:   req.Verify,
-		Shards:   req.Shards,
-		Slice:    req.SliceActions,
-		SliceMax: req.SliceMax,
+		Verify: req.Verify,
+		Shards: req.Shards,
 	}
 	sweep := chaostest.Sweep(opts, chaostest.Seeds(req.Seed, req.Seeds))
 	type seedDoc struct {

@@ -181,7 +181,10 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad format", `{"kind":"replay","trace":"sha256:00","format":"xml"}`, "bad_request", 400},
 		{"bad target", `{"kind":"replay","trace":"sha256:00","target":"weird"}`, "bad_request", 400},
 		{"bad method", `{"kind":"replay","trace":"sha256:00","method":"magic"}`, "bad_request", 400},
-		{"slice without shards", `{"kind":"replay","trace":"sha256:00","slice_actions":5}`, "bad_request", 400},
+		{"removed slice_actions", `{"kind":"replay","trace":"sha256:00","shards":2,"slice_actions":5}`, "bad_request", 400},
+		{"removed warm", `{"kind":"export","trace":"sha256:00","warm":true}`, "bad_request", 400},
+		{"removed no_samples", `{"kind":"export","trace":"sha256:00","no_samples":true}`, "bad_request", 400},
+		{"replay fields on sleep", `{"kind":"sleep","trace":"sha256:00"}`, "bad_request", 400},
 		{"chaos fields on replay", `{"kind":"replay","trace":"sha256:00","seeds":4}`, "bad_request", 400},
 		{"seeds over cap", `{"kind":"chaos","trace":"sha256:00","seeds":100000}`, "bad_request", 400},
 		{"ms on replay", `{"kind":"replay","trace":"sha256:00","ms":5}`, "bad_request", 400},

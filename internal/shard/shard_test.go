@@ -17,8 +17,7 @@ import (
 
 // checkPlan asserts the partition invariants: every action in exactly
 // one component, components disjoint and in trace order, CompOf
-// consistent, and every graph edge either intra-component or a
-// registered cross edge ordered by edge index.
+// consistent, and every graph edge inside one component.
 func checkPlan(t *testing.T, g *core.Graph, p *shard.Plan) {
 	t.Helper()
 	if p.N != g.N {
@@ -63,39 +62,13 @@ func checkPlan(t *testing.T, g *core.Graph, p *shard.Plan) {
 				c-1, c, p.Components[c-1][0], p.Components[c][0])
 		}
 	}
-	// Every edge is intra-component or a registered cross edge.
-	cross := make(map[int32]shard.CrossEdge, len(p.Cross))
-	prevEdge := int32(-1)
-	for _, ce := range p.Cross {
-		if ce.Edge <= prevEdge {
-			t.Fatalf("cross edges not ordered by edge index: %d after %d", ce.Edge, prevEdge)
-		}
-		prevEdge = ce.Edge
-		cross[ce.Edge] = ce
-	}
 	for ei := range g.Edges {
 		e := &g.Edges[ei]
-		cf, ct := p.CompOf[e.From], p.CompOf[e.To]
-		ce, registered := cross[int32(ei)]
-		if cf == ct {
-			if registered {
-				t.Fatalf("edge %d (%d->%d) is intra-component but registered as cross", ei, e.From, e.To)
-			}
-			continue
-		}
-		if !registered {
-			t.Fatalf("edge %d (%d->%d) crosses components %d->%d but is not registered",
-				ei, e.From, e.To, cf, ct)
-		}
-		if ce.From != cf || ce.To != ct {
-			t.Fatalf("cross edge %d registered as %d->%d, actual %d->%d", ei, ce.From, ce.To, cf, ct)
-		}
-		if e.Res.Kind != core.KProgram {
-			t.Fatalf("edge %d crosses components but carries stateful resource %v", ei, e.Res)
+		if cf, ct := p.CompOf[e.From], p.CompOf[e.To]; cf != ct {
+			t.Fatalf("edge %d (%d->%d, %v) crosses components %d->%d", ei, e.From, e.To, e.Res, cf, ct)
 		}
 	}
-	st := p.Stats()
-	if st.Components != len(p.Components) || st.CrossEdges != len(p.Cross) {
+	if st := p.Stats(); st.Components != len(p.Components) {
 		t.Fatalf("stats %+v inconsistent with plan", st)
 	}
 }
@@ -177,41 +150,31 @@ func TestPartitionIsolatedGroups(t *testing.T) {
 	if got := len(p.Components); got != nComp {
 		t.Fatalf("got %d components for %d isolated groups", got, nComp)
 	}
-	if len(p.Cross) != 0 {
-		t.Fatalf("isolated groups produced %d cross edges", len(p.Cross))
-	}
-	// With no cross edges every component is its own cluster.
-	if cl := p.Clusters(); len(cl) != nComp {
-		t.Fatalf("got %d clusters, want %d", len(cl), nComp)
-	}
 }
 
+// TestPartitionProgramSeqCrossEdges: the program_seq chain interleaves
+// otherwise isolated groups, so every edge it would have cut joins the
+// groups instead — one component, replayed on one kernel.
 func TestPartitionProgramSeqCrossEdges(t *testing.T) {
-	const nComp = 4
-	tr, snap := genIsolated(t, nComp, 40)
-	modes := core.ModeSet{ProgramSeq: true}
-	b, err := artc.Compile(tr, snap, modes)
+	tr, snap := genIsolated(t, 4, 40)
+	b, err := artc.Compile(tr, snap, core.DefaultModes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := b.GraphFor(modes)
+	if got := len(shard.Partition(b.Analysis, b.Graph).Components); got != 4 {
+		t.Fatalf("default-mode partition has %d components, want 4", got)
+	}
+	g := b.GraphFor(core.ModeSet{ProgramSeq: true})
 	p := shard.Partition(b.Analysis, g)
 	checkPlan(t, g, p)
-	if got := len(p.Components); got != nComp {
-		t.Fatalf("got %d components, want %d (program edges must not merge groups)", got, nComp)
-	}
-	if len(p.Cross) == 0 {
-		t.Fatal("program_seq chain over interleaved groups produced no cross edges")
-	}
-	// The program chain connects everything: one cluster.
-	if cl := p.Clusters(); len(cl) != 1 {
-		t.Fatalf("got %d clusters, want 1 (chain links all components)", len(cl))
+	if got := len(p.Components); got != 1 {
+		t.Fatalf("got %d components, want 1 (the program chain links every group)", got)
 	}
 }
 
+// TestPartitionTemporalCrossEdges: likewise for temporal adjacency.
 func TestPartitionTemporalCrossEdges(t *testing.T) {
-	const nComp = 3
-	tr, snap := genIsolated(t, nComp, 30)
+	tr, snap := genIsolated(t, 3, 30)
 	b, err := artc.Compile(tr, snap, core.DefaultModes())
 	if err != nil {
 		t.Fatal(err)
@@ -219,11 +182,8 @@ func TestPartitionTemporalCrossEdges(t *testing.T) {
 	g := core.TemporalGraph(b.Analysis)
 	p := shard.Partition(b.Analysis, g)
 	checkPlan(t, g, p)
-	if got := len(p.Components); got != nComp {
-		t.Fatalf("got %d components, want %d", got, nComp)
-	}
-	if len(p.Cross) == 0 {
-		t.Fatal("temporal adjacency over interleaved groups produced no cross edges")
+	if got := len(p.Components); got != 1 {
+		t.Fatalf("got %d components, want 1 (temporal adjacency links every group)", got)
 	}
 }
 
@@ -305,8 +265,8 @@ func TestPartitionMagritte(t *testing.T) {
 		for gname, g := range graphs {
 			p := shard.Partition(b.Analysis, g)
 			checkPlan(t, g, p)
-			t.Logf("%s/%s: %d actions, %d components, %d cross edges, largest %d",
-				name, gname, p.N, len(p.Components), len(p.Cross), p.Stats().Largest)
+			t.Logf("%s/%s: %d actions, %d components, largest %d",
+				name, gname, p.N, len(p.Components), p.Stats().Largest)
 		}
 	}
 }
@@ -320,7 +280,7 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 	p1 := shard.Partition(b.Analysis, b.Graph)
 	p2 := shard.Partition(b.Analysis, b.Graph)
-	if len(p1.Components) != len(p2.Components) || len(p1.Cross) != len(p2.Cross) {
+	if len(p1.Components) != len(p2.Components) {
 		t.Fatal("partition not deterministic")
 	}
 	for i := range p1.CompOf {

@@ -171,32 +171,7 @@ type Kernel struct {
 
 	// stopped is set by Stop to abort Run at the next scheduling point.
 	stopped bool
-
-	// pacer, when set, gates every virtual-clock advance (see Pacer).
-	pacer Pacer
 }
-
-// PacerIdle is the Advance argument when the kernel has live threads
-// but no pending events: only an external wake can make progress.
-const PacerIdle = time.Duration(-1)
-
-// Pacer gates virtual-clock advancement, the hook parallel replay uses
-// to keep one kernel's clock from outrunning its peers. Advance is
-// called in kernel context (the Run goroutine) just before the clock
-// would move forward to next — never for events at the current instant
-// — and with next == PacerIdle when the kernel is out of work but
-// threads remain blocked. It may block the kernel, and it may inject
-// work (At, Unpark, Timer.Reset) before returning. Returning true tells
-// the kernel to re-plan: pending events are pushed back into the wheel
-// and the loop re-selects the earliest instant, picking up anything the
-// pacer injected. Returning false lets the kernel proceed: dispatch the
-// pending instant, or — after PacerIdle — declare deadlock.
-type Pacer interface {
-	Advance(next time.Duration) bool
-}
-
-// SetPacer installs (or, with nil, removes) the kernel's pacer.
-func (k *Kernel) SetPacer(p Pacer) { k.pacer = p }
 
 // schedHook wraps a hook function so AddSchedHook can identify it for
 // removal (func values are not comparable).
@@ -381,18 +356,6 @@ func (k *Kernel) Run() error {
 			if len(k.batch) == 0 {
 				k.wheel.expire(&k.batch)
 				k.batchAt = k.batch[0].at
-				if k.pacer != nil && k.batchAt > k.now && k.pacer.Advance(k.batchAt) {
-					// The pacer injected work; push the expired instant
-					// back and re-select the earliest event. Injections at
-					// batchAt landed in the live batch and are reinserted
-					// with it.
-					for i, e := range k.batch {
-						k.wheel.insert(e)
-						k.batch[i] = nil
-					}
-					k.batch = k.batch[:0]
-					continue
-				}
 			}
 			e := k.batch[0]
 			copy(k.batch, k.batch[1:])
@@ -403,9 +366,6 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		if k.live > 0 {
-			if k.pacer != nil && k.pacer.Advance(PacerIdle) {
-				continue
-			}
 			var blocked []string
 			for _, t := range k.threads {
 				if t.state == StateBlocked {

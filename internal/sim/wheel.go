@@ -114,11 +114,8 @@ type wheel struct {
 	// base is the absolute tick of level-0 slot 0, always aligned to
 	// wheelSlots and never beyond the earliest pending tick. It advances
 	// inside expire, immediately before the kernel moves the clock to
-	// the minimum event it returns — but the pacer hook sits between
-	// those two points, and a paced kernel may inject an event earlier
-	// than the expired batch (though never earlier than now). insert
-	// detects tick(at) < base and rewinds the window, so the only
-	// standing invariant is tick(at) >= tick(now).
+	// the minimum event it returns; every later insert is at or after
+	// the new clock, so no event is ever filed below base.
 	base int64
 
 	l0     [wheelSlots]bucket
@@ -132,16 +129,9 @@ type wheel struct {
 }
 
 // insert files e by tick distance from base: level 0 within wheelSlots
-// ticks, level 1 within wheelSpan, the overflow heap beyond. An event
-// before base — possible only from a pacer injection between expire and
-// the clock move — rewinds the window first; filing it by masked slot
-// index alone would alias it onto a future rotation and dispatch it
-// after later events, dragging the kernel clock backward.
+// ticks, level 1 within wheelSpan, the overflow heap beyond.
 func (w *wheel) insert(e *event) {
 	t := wheelTick(e.at)
-	if t < w.base {
-		w.rewind(t)
-	}
 	w.n++
 	switch {
 	case t < w.base+wheelSlots:
@@ -202,47 +192,6 @@ func (w *wheel) firstL0() int64 {
 		}
 	}
 	panic("sim: wheel level-0 bitmap empty with l0n > 0")
-}
-
-// rewind lowers the window so tick t heads it again, refiling every
-// leveled event against the new base. The kernel's clock still trails
-// t — only expire's look-ahead moved base — so dequeue order is
-// preserved. Overflow-heap events need no refiling: they carry absolute
-// times and advance drains them against whatever base is current. Rare
-// (one paced injection behind an expired batch), so the O(pending)
-// rebuild does not show up in steady-state scheduling.
-func (w *wheel) rewind(t int64) {
-	var evs []*event
-	if w.l0n > 0 {
-		for i := range w.l0 {
-			evs = append(evs, w.l0[i].evs...)
-			for j := range w.l0[i].evs {
-				w.l0[i].evs[j] = nil
-			}
-			w.l0[i].evs = w.l0[i].evs[:0]
-			w.l0[i].sorted = false
-		}
-		for i := range w.l0bits {
-			w.l0bits[i] = 0
-		}
-		w.l0n = 0
-	}
-	if w.l1n > 0 {
-		for i := range w.l1 {
-			evs = append(evs, w.l1[i].evs...)
-			for j := range w.l1[i].evs {
-				w.l1[i].evs[j] = nil
-			}
-			w.l1[i].evs = w.l1[i].evs[:0]
-			w.l1[i].sorted = false
-		}
-		w.l1n = 0
-	}
-	w.base = t &^ wheelMask
-	w.n -= len(evs)
-	for _, e := range evs {
-		w.insert(e)
-	}
 }
 
 // advance moves the window forward when level 0 has drained: it picks

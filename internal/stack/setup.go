@@ -110,30 +110,6 @@ func (s *System) WarmFile(t *sim.Thread, p string) error {
 	return nil
 }
 
-// WarmAll makes every inode's metadata block and every regular file's
-// data pages cache-resident in zero virtual time — a machine whose
-// dentry, inode, and page caches are hot at measurement start, as
-// after a pre-run tree walk plus full read pass. Setup-style instant
-// operation (no thread, no I/O), unlike WarmFile. Replays that must be
-// device-independent — the sliced-vs-serial differential corpora, where
-// each slice replica has its own device and cache, so a cold open or a
-// read of data another slice wrote would be timed by that replica's
-// queue — warm every replica so those paths are pure cache hits.
-func (s *System) WarmAll() {
-	var walk func(ino *vfs.Inode)
-	walk = func(ino *vfs.Inode) {
-		s.Cache.Warm(0, s.metaMapper, int64(ino.Ino), 1)
-		if ino.Type == vfs.TypeRegular && ino.Size > 0 {
-			pages := (ino.Size + storage.BlockSize - 1) / storage.BlockSize
-			s.Cache.Warm(cacheID(ino), s.mapperFor(ino, pages), 0, pages)
-		}
-		for _, name := range ino.Children() {
-			walk(ino.Lookup(name))
-		}
-	}
-	walk(s.FS.Root())
-}
-
 // DropCaches empties the page cache (between initialization and
 // measurement).
 func (s *System) DropCaches() { s.Cache.DropAll() }

@@ -16,10 +16,9 @@ import (
 // Components parameterizes the sharded-replay scale family: a
 // synthetic trace of many mutually independent file-working groups,
 // sized into the millions of actions. Each component runs on its own
-// traced thread against its own directory, so the resource-closure
+// traced thread against its own directory, so the dependency-closure
 // partitioner (internal/shard) splits the trace into exactly N
-// components with no cross edges — the shape the sharded replayer
-// parallelizes perfectly.
+// components — the shape the sharded replayer parallelizes perfectly.
 //
 // Unlike the other workloads, SynthComponents builds records directly
 // instead of running threads through a simulated source machine:

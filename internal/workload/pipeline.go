@@ -12,29 +12,21 @@ import (
 	"rootreplay/internal/trace"
 )
 
-// Pipeline parameterizes the resource-cut slicing family: S stage
-// threads chained into one weakly-connected component by shared handoff
-// files, the shape PR 6's component partitioner cannot split (every
-// thread is transitively connected to every other through the handoff
-// chain) but resource-cut slicing can.
+// Pipeline parameterizes the pipeline family: S stage threads chained
+// into one component by shared handoff files, the shape the component
+// partitioner cannot split (every thread is transitively connected to
+// every other through the handoff chain), so a sharded replay runs it
+// serially on one replica.
 //
 // Stage s works mostly against its private directory /ppriv<s>/ and,
 // every Handoff ops, touches the boundary files: it writes a page of
 // /phand<s>/h (consumed by stage s+1) and reads back a page of
-// /phand<s-1>/h that stage s-1 wrote a full handoff round earlier. The
-// resource atoms are therefore a path graph priv0 — hand0 — priv1 —
-// hand1 — ... and the minimum K-way cut severs only thread adjacencies:
-// all cross-slice edges are synthetic program-order edges, about
-// 2*(S-1)*Ops/Handoff of them, tunable via -handoff.
+// /phand<s-1>/h that stage s-1 wrote a full handoff round earlier.
 //
 // Every pread targets a page pwritten earlier in the trace, and the
-// boundary write/read pairs sit a whole handoff round apart, so with
-// warmed caches (stack.System.WarmAll) and the default Fsync=0 replay
-// is cache-hit-only on every replica: no foreground device I/O, which
-// is what makes the sliced replay's virtual times — and so its merged
-// report — byte-identical to the serial replayer's. A positive Fsync
-// forfeits that device independence and turns the family into the
-// writeback perf corpus instead (see the Fsync field).
+// boundary write/read pairs sit a whole handoff round apart. A positive
+// Fsync turns the family into the writeback perf corpus (see the Fsync
+// field).
 type Pipeline struct {
 	// Stages is the number of pipeline stages, one traced thread each
 	// (default 8).
@@ -48,33 +40,12 @@ type Pipeline struct {
 	// FileBytes is each file's size (default 256 KiB).
 	FileBytes int64
 	// Fsync, when positive, makes every Fsync-th private write session
-	// fsync before closing. The default 0 keeps the family fsync-free —
-	// the device-independent shape whose sliced replay is byte-identical
-	// to serial. A positive value turns the family into the writeback
-	// perf corpus: serial fsync writeback scans the whole machine's
-	// resident cache, per-slice replicas only their own, which is the
-	// working-set reduction the sliced perf numbers measure (slicing it
-	// requires ShardOptions.SliceDeviceSync).
+	// fsync before closing; the default 0 keeps the family fsync-free.
+	// With fsyncs, replay time is dominated by writeback of a large
+	// resident page cache.
 	Fsync int
 	// Seed drives the per-stage op mix.
 	Seed int64
-	// HotStage, when in [1, Stages], skews that stage's private writes
-	// to HotPages pages each instead of one, striding by the write
-	// width so the hot stage's dirty footprint grows HotPages times
-	// faster than its peers'. Record counts, the offsets' rng
-	// consumption, and the op mix are unchanged — only Size and the
-	// offset stride differ — so the trace shape is identical and
-	// HotStage=0 output is byte-for-byte the unskewed family. The skew
-	// is invisible to action-count balancing (the static slicer's
-	// proxy) but not to virtual time: wide writes cost cache time per
-	// page and their fsyncs write back HotPages times the data, so the
-	// hot stage's atom carries several times the virtual cost of its
-	// peers — the intentionally unbalanced cut the profile-guided
-	// re-slicer exists to fix. 1-based (stage s is traced TID s).
-	HotStage int
-	// HotPages is the hot stage's pages per private write (default 4
-	// when HotStage is set).
-	HotPages int
 }
 
 func (p *Pipeline) withDefaults() Pipeline {
@@ -90,9 +61,6 @@ func (p *Pipeline) withDefaults() Pipeline {
 	}
 	if out.FileBytes <= 0 {
 		out.FileBytes = 256 << 10
-	}
-	if out.HotStage > 0 && out.HotPages <= 0 {
-		out.HotPages = 4
 	}
 	return out
 }
@@ -161,7 +129,7 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 				if st > 0 && round > 0 {
 					// Consume what the upstream stage produced last
 					// round: a strictly earlier trace instant, so the
-					// page is in this slice's cache by issue time.
+					// page is cached by issue time.
 					g.emit(trace.Record{Call: "open", Path: hand[st-1], Flags: trace.ORdonly, FD: fdHandR, Ret: fdHandR})
 					g.emit(trace.Record{Call: "pread", FD: fdHandR, Offset: ((round - 1) % blocks) * 4096, Size: 4096, Ret: 4096})
 					g.emit(trace.Record{Call: "close", FD: fdHandR, Ret: 0})
@@ -175,20 +143,10 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 			}
 			f := priv[st][rng.Intn(2)]
 			if written == 0 || rng.Intn(3) != 0 { // 2:1 write:read mix
-				// The hot stage writes wider, not more: same records, same
-				// rng draws, several pages per pwrite, clamped in-bounds.
-				pages := int64(1)
-				if p.HotStage == st+1 {
-					pages = int64(p.HotPages)
-					if pages > blocks {
-						pages = blocks
-					}
-				}
-				starts := blocks - pages + 1
-				off := ((written * pages) % starts) * 4096
+				off := (written % blocks) * 4096
 				written++
 				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdwr, FD: fdPriv, Ret: fdPriv})
-				g.emit(trace.Record{Call: "pwrite", FD: fdPriv, Offset: off, Size: pages * 4096, Ret: pages * 4096})
+				g.emit(trace.Record{Call: "pwrite", FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
 				if p.Fsync > 0 && written%int64(p.Fsync) == 0 {
 					g.emit(trace.Record{Call: "fsync", FD: fdPriv, Ret: 0})
 				}

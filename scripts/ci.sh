@@ -16,13 +16,14 @@
 # Lanes: lint (gofmt + go vet), vet-race (race-enabled tests),
 # determinism (byte-identical trace export under forced parallelism),
 # ingest (sequential and sharded strace parses agree), shard (sharded
-# and sliced replay match serial byte for byte across GOMAXPROCS, shard
-# counts, and slice granularities, the components and pipeline family
-# specs regenerate exactly, and the chaos invariants hold through the
-# sharded replayer), chaos (seeded fault sweep with per-seed
-# verification plus a single-seed bit-repro check), cache (artifact
-# cache hit/corruption behavior), fuzz (a short strace-lexer fuzz
-# smoke), service (boot artcd, drive a replay over HTTP, compare the
+# replay matches serial byte for byte across GOMAXPROCS and shard
+# counts, on the Magritte corpus and on temporal and single replays of
+# the components golden; the components and pipeline family specs
+# regenerate exactly; the chaos invariants hold through the sharded
+# replayer), chaos (seeded fault sweep with per-seed verification plus
+# a single-seed bit-repro check), cache (artifact cache hit/corruption
+# behavior), fuzz (short strace-lexer, binary-decoder, and job-spec
+# fuzz smokes), service (boot artcd, drive a replay over HTTP, compare the
 # export byte for byte against the artc CLI), service-fault (overfill a
 # tenant queue, assert bounded 429 backpressure and a clean SIGTERM
 # drain), bench (perfstat snapshot and the benchcmp regression gate).
@@ -30,20 +31,8 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Default perfstat tag: one past the newest committed BENCH_pr<N>.json,
-# so a new PR's snapshot never clobbers a landed baseline.
-default_tag() {
-  last="$(ls BENCH_*.json 2>/dev/null |
-    sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
-  if [ -n "$last" ]; then
-    echo "pr$((last + 1))"
-  else
-    echo "local"
-  fi
-}
-
 lane="${1:-all}"
-tag="${2:-$(default_tag)}"
+tag="${2:-$(sh scripts/default-tag.sh)}"
 prev="${3:-}"
 case "$lane" in
   lint|vet-race|determinism|ingest|shard|chaos|cache|fuzz|service|service-fault|bench|all) ;;
@@ -102,7 +91,7 @@ ingest() {
 
 shard() {
   echo "== shard: property + differential tests under -race"
-  GOMAXPROCS=8 go test -race -count=1 -run 'Partition|Sharded|Sliced|ComponentsFamily|PipelineFamily' \
+  GOMAXPROCS=8 go test -race -count=1 -run 'Partition|Sharded|ComponentsFamily|PipelineFamily' \
     ./internal/shard/ ./internal/artc/ ./internal/magritte/ ./internal/workload/ \
     ./internal/fault/chaostest/
   go build -o "$tmp/artc" ./cmd/artc
@@ -124,53 +113,23 @@ shard() {
   "$tmp/tracegen" -family pipeline -stages 4 -ops 200 -handoff 16 -seed 11 \
     -o "$tmp/pipeline.trace" -snapshot "$tmp/pipeline.snap"
   cmp internal/workload/testdata/pipeline_small.trace "$tmp/pipeline.trace"
-  echo "== shard: hot pipeline family spec regenerates byte for byte"
-  "$tmp/tracegen" -family pipeline -stages 4 -ops 200 -handoff 16 -seed 11 \
-    -hot-stage 2 -hot-pages 4 \
-    -o "$tmp/pipeline-hot.trace" -snapshot "$tmp/pipeline-hot.snap"
-  cmp internal/workload/testdata/pipeline_hot_small.trace "$tmp/pipeline-hot.trace"
-  echo "== shard: sliced pipeline export matches serial across shard counts"
-  "$tmp/artc" compile -trace "$tmp/pipeline.trace" -snapshot "$tmp/pipeline.snap" \
-    -o "$tmp/pipeline.bench"
-  "$tmp/artc" trace -bench "$tmp/pipeline.bench" -warm -no-samples -quiet \
-    -o "$tmp/slice-serial.json"
-  for n in 1 2 4 8; do
-    GOMAXPROCS=8 "$tmp/artc" trace -bench "$tmp/pipeline.bench" -shards $n \
-      -slice-actions 700 -warm -no-samples -quiet -o "$tmp/slice-$n.json"
-    cmp "$tmp/slice-serial.json" "$tmp/slice-$n.json"
+  echo "== shard: chained-method exports of the components golden match serial at GOMAXPROCS=1/2/8"
+  "$tmp/artc" compile -trace internal/workload/testdata/components_small.trace \
+    -snapshot "$tmp/components.snap" -no-cache -o "$tmp/components.bench"
+  for method in temporal single; do
+    "$tmp/artc" trace -bench "$tmp/components.bench" -method $method -quiet \
+      -o "$tmp/chain-$method-serial.json"
+    for procs in 1 2 8; do
+      for n in 1 2 4 8; do
+        GOMAXPROCS=$procs "$tmp/artc" trace -bench "$tmp/components.bench" -method $method \
+          -shards $n -quiet -o "$tmp/chain-$method-$procs-$n.json"
+        cmp "$tmp/chain-$method-serial.json" "$tmp/chain-$method-$procs-$n.json"
+      done
+    done
   done
-  echo "== shard: profile-guided re-cut round-trip (auto re-cuts, stays byte-identical to serial)"
-  "$tmp/tracegen" -family pipeline -stages 4 -ops 200 -handoff 8 -seed 7 \
-    -hot-stage 2 -hot-pages 32 \
-    -o "$tmp/profcorpus.trace" -snapshot "$tmp/profcorpus.snap"
-  "$tmp/artc" compile -trace "$tmp/profcorpus.trace" -snapshot "$tmp/profcorpus.snap" \
-    -no-cache -o "$tmp/profcorpus.bench"
-  "$tmp/artc" trace -bench "$tmp/profcorpus.bench" -warm -no-samples -quiet \
-    -o "$tmp/prof-serial.json"
-  GOMAXPROCS=8 "$tmp/artc" trace -bench "$tmp/profcorpus.bench" -shards 2 \
-    -slice-actions 1300 -warm -no-samples -slice-profile off -no-cache \
-    -o "$tmp/prof-static.json" 2>"$tmp/prof-static.err"
-  GOMAXPROCS=8 "$tmp/artc" trace -bench "$tmp/profcorpus.bench" -shards 2 \
-    -slice-actions 1300 -warm -no-samples -slice-profile auto \
-    -cache-dir "$tmp/profcache" -o "$tmp/prof-auto.json" 2>"$tmp/prof-auto.err"
-  grep -q 'slice profile: miss' "$tmp/prof-auto.err"
-  fp_static="$(sed -n 's/.*profiled=false fingerprint=//p' "$tmp/prof-static.err")"
-  fp_auto="$(sed -n 's/.*profiled=true fingerprint=//p' "$tmp/prof-auto.err")"
-  if [ -z "$fp_static" ] || [ -z "$fp_auto" ] || [ "$fp_static" = "$fp_auto" ]; then
-    echo "profiled plan did not re-cut (static=$fp_static auto=$fp_auto)" >&2; exit 1
-  fi
-  cmp "$tmp/prof-serial.json" "$tmp/prof-auto.json"
-  GOMAXPROCS=8 "$tmp/artc" trace -bench "$tmp/profcorpus.bench" -shards 2 \
-    -slice-actions 1300 -warm -no-samples -slice-profile auto \
-    -cache-dir "$tmp/profcache" -o "$tmp/prof-auto2.json" 2>"$tmp/prof-auto2.err"
-  grep -q 'slice profile: hit' "$tmp/prof-auto2.err"
-  cmp "$tmp/prof-auto.json" "$tmp/prof-auto2.json"
   echo "== shard: chaos invariants hold through the sharded replayer"
   GOMAXPROCS=8 "$tmp/artc" chaos -magritte pages_docphoto15 -gen-scale 0.01 \
     -seeds 8 -verify -shards 4
-  echo "== shard: chaos invariants hold through the sliced replayer"
-  GOMAXPROCS=8 "$tmp/artc" chaos -magritte pages_docphoto15 -gen-scale 0.01 \
-    -seeds 4 -verify -shards 4 -slice-actions 500
 }
 
 chaos() {
@@ -214,6 +173,8 @@ fuzz() {
   go test -run '^$' -fuzz 'FuzzStraceFastVsReference' -fuzztime 20s ./internal/trace/
   echo "== fuzz: 20s binary artifact decoder smoke"
   go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 20s -fuzzminimizetime 5s ./internal/artc/
+  echo "== fuzz: 20s artcd job-spec decode smoke"
+  go test -run '^$' -fuzz 'FuzzJobSpec' -fuzztime 20s -fuzzminimizetime 5s ./internal/serve/
 }
 
 # start_artcd boots the daemon on an ephemeral port with the given
