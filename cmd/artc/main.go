@@ -1,7 +1,7 @@
 // Command artc compiles and replays system-call traces.
 //
 //	artc compile -trace app.strace -format strace -snapshot init.snap -o app.bench
-//	artc convert -trace app.strace -format strace -shards -1 -to native -o app.trace
+//	artc convert -trace app.strace -format strace -to native -o app.trace
 //	artc replay  -bench app.bench -target linux-ext4-hdd -method artc -speed afap
 //	artc inspect -bench app.bench
 //	artc trace   -magritte pages_docphoto15 -o replay.trace.json
@@ -9,18 +9,19 @@
 //	artc chaos   -magritte pages_docphoto15 -seed 3 -o chaos-seed3.json
 //
 // compile turns a trace (native or strace format) plus an optional
-// initial-state snapshot into a self-contained benchmark file; -shards
-// lexes strace input in parallel, -stream overlaps strace lexing with
-// compilation. convert re-encodes a trace between formats. replay
-// executes a benchmark on a simulated target machine and reports timing
-// and semantic accuracy. inspect prints a benchmark's dependency-graph
-// statistics. trace replays with the observability recorder enabled and
-// exports a Chrome trace_event JSON file (loadable in Perfetto) plus a
-// text summary and critical-path report. chaos replays under seeded
-// fault injection: -seeds N sweeps consecutive seeds asserting the
-// chaos invariants (clean termination, monotonic virtual clock,
+// initial-state snapshot into a self-contained benchmark file; strace
+// input is always lexed in a stream that overlaps compilation.
+// convert re-encodes a trace between formats. replay executes a
+// benchmark on a simulated target machine and reports timing and
+// semantic accuracy. inspect prints a benchmark's dependency-graph
+// statistics. trace replays with the observability recorder enabled
+// and exports a Chrome trace_event JSON file (loadable in Perfetto)
+// plus a text summary and critical-path report. chaos replays under
+// seeded fault injection: -seeds N sweeps consecutive seeds asserting
+// the chaos invariants (clean termination, monotonic virtual clock,
 // per-seed reproducibility with -verify), while a single -seed run
-// exports a deterministic JSON document for bit-reproducibility checks.
+// exports a deterministic JSON document for bit-reproducibility
+// checks.
 package main
 
 import (
@@ -75,10 +76,8 @@ func usage() {
 	os.Exit(2)
 }
 
-// readTrace parses a trace file in the named format. For strace input,
-// shards selects the lexer: 0 sequential, N > 0 that many parallel
-// shards, negative one shard per CPU.
-func readTrace(path, format string, shards int) (*trace.Trace, error) {
+// readTrace parses a trace file in the named format.
+func readTrace(path, format string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -86,12 +85,6 @@ func readTrace(path, format string, shards int) (*trace.Trace, error) {
 	defer f.Close()
 	switch format {
 	case "strace":
-		if shards != 0 {
-			if shards < 0 {
-				shards = 0 // ParseStraceSharded reads <= 0 as GOMAXPROCS
-			}
-			return trace.ParseStraceSharded(f, shards)
-		}
 		return trace.ParseStrace(f)
 	case "ibench":
 		return trace.ParseIBench(f)
@@ -166,8 +159,6 @@ func compileCmd(args []string) error {
 	snapPath := fs.String("snapshot", "", "initial snapshot file (optional; inferred if absent)")
 	out := fs.String("o", "out.bench", "output benchmark file")
 	modesFlag := fs.String("modes", artc.ModesString(core.DefaultModes()), "ordering modes")
-	shards := fs.Int("shards", 0, "parse strace input in N parallel shards (0 = sequential, -1 = one per CPU)")
-	stream := fs.Bool("stream", false, "stream strace parsing into the compiler (requires -format strace; overlap needs -snapshot)")
 	binOut := fs.Bool("binary", false, "write the output as a binary artifact instead of text")
 	cacheDir, noCache := cacheFlags(fs)
 	fs.Parse(args)
@@ -186,10 +177,10 @@ func compileCmd(args []string) error {
 
 	var b *artc.Benchmark
 	var st artifact.Stats
-	switch {
-	case store != nil && *format == "strace":
+	if *format == "strace" {
 		// Key on the raw strace bytes so a warm hit skips parsing too;
-		// cold misses compile through the streaming path.
+		// misses, and every compile under -no-cache, stream the parse
+		// into the compiler.
 		raw, err := os.ReadFile(*tracePath)
 		if err != nil {
 			return err
@@ -197,20 +188,8 @@ func compileCmd(args []string) error {
 		if b, st, err = artifact.CompileStrace(store, raw, snap, modes); err != nil {
 			return err
 		}
-	case *stream:
-		if *format != "strace" {
-			return fmt.Errorf("-stream requires -format strace")
-		}
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if b, err = artc.CompileStraceStream(f, snap, modes); err != nil {
-			return err
-		}
-	default:
-		tr, err := readTrace(*tracePath, *format, *shards)
+	} else {
+		tr, err := readTrace(*tracePath, *format)
 		if err != nil {
 			return err
 		}
@@ -240,21 +219,19 @@ func compileCmd(args []string) error {
 	return nil
 }
 
-// convertCmd re-encodes a trace between formats. Its main job is the
-// ingest CI lane: parse the same strace text sequentially and sharded
-// and compare the native encodings byte for byte.
+// convertCmd re-encodes a trace between formats: strace or iBench text
+// to the native encoding, and native back to strace text.
 func convertCmd(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "trace file (required)")
 	format := fs.String("format", "strace", "input format: native | strace | ibench")
 	outFormat := fs.String("to", "native", "output format: native | strace")
-	shards := fs.Int("shards", 0, "parse strace input in N parallel shards (0 = sequential, -1 = one per CPU)")
 	out := fs.String("o", "-", "output file (- = stdout)")
 	fs.Parse(args)
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
 	}
-	tr, err := readTrace(*tracePath, *format, *shards)
+	tr, err := readTrace(*tracePath, *format)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,6 @@ var gatedMetrics = map[string]bool{
 	"pipeline_replay_ns":               true,
 	"records_per_second":               false,
 	"parse_records_per_second":         false,
-	"parse_sharded_records_per_second": false,
 	"shard_speedup":                    false,
 }
 

@@ -51,6 +51,7 @@ import (
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
+	"rootreplay/internal/vfs"
 )
 
 // BinaryFormatVersion is the current binary artifact format version; it
@@ -785,6 +786,9 @@ func decodeSnapshotSec(snr *binReader) (*snapshot.Snapshot, error) {
 			if e.Size, err = snr.svarint(); err != nil {
 				return nil, err
 			}
+			if e.Size < 0 {
+				return nil, snr.errAt("negative snapshot file size %d", e.Size)
+			}
 			m, err := snr.uvarint()
 			if err != nil {
 				return nil, err
@@ -819,6 +823,9 @@ func decodeSnapshotSec(snr *binReader) (*snapshot.Snapshot, error) {
 				size, err := snr.svarint()
 				if err != nil {
 					return nil, err
+				}
+				if size < 0 || size > vfs.XattrSizeMax {
+					return nil, snr.errAt("snapshot xattr size %d out of range", size)
 				}
 				e.Xattrs[name] = size
 			}

@@ -7,6 +7,7 @@ import (
 
 	"rootreplay/internal/core"
 	"rootreplay/internal/sim"
+	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
 )
@@ -156,6 +157,22 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	mut[8] = 99
 	if _, err := DecodeBinaryBytes(mut); err == nil {
 		t.Fatal("future-version artifact decoded without error")
+	}
+	// Well-formed sections carrying snapshot sizes no file system has:
+	// replay init would size allocations by them.
+	for _, bad := range []snapshot.Entry{
+		{Kind: snapshot.KindFile, Path: "/bad", Size: -1},
+		{Kind: snapshot.KindFile, Path: "/bad", Xattrs: map[string]int64{"user.x": -1}},
+		{Kind: snapshot.KindFile, Path: "/bad", Xattrs: map[string]int64{"user.x": 65537}},
+	} {
+		b.Snapshot = &snapshot.Snapshot{Entries: []snapshot.Entry{bad}}
+		buf.Reset()
+		if err := b.EncodeBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeBinaryBytes(buf.Bytes()); err == nil {
+			t.Fatalf("snapshot entry %+v decoded without error", bad)
+		}
 	}
 }
 

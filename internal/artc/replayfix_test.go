@@ -233,3 +233,40 @@ func TestReplayConcurrentDeadlockIdentifiesBlockage(t *testing.T) {
 		t.Fatalf("error should say the concurrent replay stalled: %v", err)
 	}
 }
+
+// A traced xattr size outside [0, XATTR_SIZE_MAX] fails the replayed
+// call with E2BIG, as Linux does, instead of sizing an allocation by
+// it; the mismatch with the traced success counts as one semantic error.
+func TestSetxattrOutOfRangeSizeReplays(t *testing.T) {
+	for _, tc := range []struct {
+		call   string
+		errors int
+	}{
+		{`setxattr("/f", "user.x", ""..., -1, 0)`, 1},
+		{`setxattr("/f", "user.x", ""..., 65537, 0)`, 1},
+		{`fsetxattr(3, "user.x", ""..., -1, 0)`, 1},
+		{`setxattr("/f", "user.x", ""..., 65536, 0)`, 0},
+	} {
+		text := "1 1.0 open(\"/f\", O_RDONLY) = 3 <0.000010>\n" +
+			"1 1.1 " + tc.call + " = 0 <0.000010>\n" +
+			"1 1.2 close(3) = 0 <0.000010>\n"
+		b, err := CompileStraceStream(strings.NewReader(text), nil, core.DefaultModes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := stack.New(sim.NewKernel(), defaultConf())
+		if err := Init(sys, b, ""); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(sys, b, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.call, err)
+		}
+		if rep.Errors != tc.errors {
+			t.Fatalf("%s: %d semantic errors (%v), want %d", tc.call, rep.Errors, rep.ErrorSamples, tc.errors)
+		}
+		if tc.errors > 0 && !strings.Contains(rep.ErrorSamples[0], "E2BIG") {
+			t.Fatalf("%s: mismatch %q does not name E2BIG", tc.call, rep.ErrorSamples[0])
+		}
+	}
+}

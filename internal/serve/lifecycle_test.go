@@ -193,16 +193,55 @@ func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID str
 	if err := gen.Snapshot.Encode(&sb); err != nil {
 		t.Fatal(err)
 	}
-	up := func(data []byte) string {
-		w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/traces", data)
-		if w.Code != http.StatusOK {
-			t.Fatalf("upload: %d %s", w.Code, w.Body)
+	return upload(t, s, tenant, tb.Bytes()), upload(t, s, tenant, sb.Bytes())
+}
+
+// upload stores one blob for tenant and returns its id.
+func upload(t *testing.T, s *Server, tenant string, data []byte) string {
+	t.Helper()
+	w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/traces", data)
+	if w.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", w.Code, w.Body)
+	}
+	var doc struct {
+		ID string `json:"id"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &doc)
+	return doc.ID
+}
+
+// TestOutOfRangeXattrSizeKeepsDaemonUp submits replay jobs whose
+// uploads carry an xattr size no Linux call accepts. A snapshot line
+// with such a size fails its job at decode; a traced setxattr with one
+// replays to completion (the call fails with E2BIG). Either way the
+// daemon keeps serving.
+func TestOutOfRangeXattrSizeKeepsDaemonUp(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueBound: 4})
+	strace := []byte("1 1.0 open(\"/f\", O_RDONLY) = 3 <0.000010>\n" +
+		"1 1.1 setxattr(\"/f\", \"user.x\", \"\"..., -1, 0) = 0 <0.000010>\n" +
+		"1 1.2 close(3) = 0 <0.000010>\n")
+	for _, tc := range []struct {
+		name     string
+		snapshot string
+		want     State
+	}{
+		{"negative snapshot size", "file /f 1\nxattr /f \"user.x\" -1\n", StateFailed},
+		{"oversized snapshot size", "file /f 1\nxattr /f \"user.x\" 65537\n", StateFailed},
+		{"negative traced size", "file /f 1\n", StateDone},
+	} {
+		traceID, snapID := upload(t, s, "a", strace), upload(t, s, "a", []byte(tc.snapshot))
+		w := do(s, http.MethodPost, "/v1/tenants/a/jobs", []byte(fmt.Sprintf(
+			`{"kind":"replay","format":"strace","trace":"%s","snapshot":"%s"}`, traceID, snapID)))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("%s: submit: %d %s", tc.name, w.Code, w.Body)
 		}
 		var doc struct {
 			ID string `json:"id"`
 		}
 		json.Unmarshal(w.Body.Bytes(), &doc)
-		return doc.ID
+		waitState(t, s, "a", doc.ID, tc.want)
+		if w := do(s, http.MethodGet, "/healthz", nil); w.Code != http.StatusOK {
+			t.Fatalf("%s: healthz: %d %s", tc.name, w.Code, w.Body)
+		}
 	}
-	return up(tb.Bytes()), up(sb.Bytes())
 }

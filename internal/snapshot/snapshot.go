@@ -320,7 +320,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			return nil, bad("too few fields")
 		}
 		p, err := unquotePath(f[1])
-		if err != nil {
+		if err != nil || p == "" {
 			return nil, bad("bad path")
 		}
 		switch f[0] {
@@ -340,7 +340,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 				return nil, bad("file needs size")
 			}
 			size, err := strconv.ParseInt(f[2], 10, 64)
-			if err != nil {
+			if err != nil || size < 0 {
 				return nil, bad("bad size")
 			}
 			mode := uint32(0o644)
@@ -386,7 +386,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 				return nil, bad("bad xattr name")
 			}
 			size, err := strconv.ParseInt(f[3], 10, 64)
-			if err != nil {
+			if err != nil || size < 0 || size > vfs.XattrSizeMax {
 				return nil, bad("bad xattr size")
 			}
 			if snap.Entries[idx].Xattrs == nil {

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"rootreplay/internal/sim"
@@ -195,17 +197,27 @@ func TestDeltaRestoreNoChanges(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	cases := []string{
-		"garbage /a",
-		"file /a",                  // missing size
-		"file /a xx",               // bad size
-		"slink /l",                 // missing target
-		"xattr /nope \"user.k\" 3", // unknown path
-		"dir",                      // too few
+	cases := []struct {
+		in   string
+		line int
+	}{
+		{"garbage /a", 1},
+		{"file /a", 1},                              // missing size
+		{"file /a xx", 1},                           // bad size
+		{"file /a -1", 1},                           // negative size
+		{"slink /l", 1},                             // missing target
+		{"xattr /nope \"user.k\" 3", 1},             // unknown path
+		{"dir", 1},                                  // too few
+		{"file \"\" 1", 1},                          // empty path
+		{"file /a 1\nxattr /a \"user.k\" -1", 2},    // negative xattr size
+		{"file /a 1\nxattr /a \"user.k\" 65537", 2}, // over XATTR_SIZE_MAX
 	}
 	for _, c := range cases {
-		if _, err := Decode(bytes.NewReader([]byte(c + "\n"))); err == nil {
-			t.Errorf("no error for %q", c)
+		_, err := Decode(bytes.NewReader([]byte(c.in + "\n")))
+		if err == nil {
+			t.Errorf("no error for %q", c.in)
+		} else if want := fmt.Sprintf("line %d:", c.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %q does not name %s", c.in, err, want)
 		}
 	}
 }

@@ -303,6 +303,9 @@ func (s *System) Setxattr(t *sim.Thread, path, name string, size int64, follow b
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
+	if size < 0 || size > vfs.XattrSizeMax {
+		return s.record(t, enter, rec, -1, vfs.E2BIG)
+	}
 	if ino.Xattrs == nil {
 		ino.Xattrs = make(map[string][]byte)
 	}
@@ -372,6 +375,9 @@ func (s *System) Fsetxattr(t *sim.Thread, fd int64, name string, size int64) (in
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
+	}
+	if size < 0 || size > vfs.XattrSizeMax {
+		return s.record(t, enter, rec, -1, vfs.E2BIG)
 	}
 	if f.ino.Xattrs == nil {
 		f.ino.Xattrs = make(map[string][]byte)

@@ -35,7 +35,7 @@ func FuzzParseStrace(f *testing.F) {
 }
 
 // FuzzStraceFastVsReference is the differential target: every parser
-// variant (fast, streaming, sharded at several widths) must match
+// variant (fast and streaming) must match
 // parseStraceReference — records byte for byte, errors field for field.
 // The seeds sit on the fast path's bail-out boundaries: the "] "
 // header rewrite, signed/oversized timestamps, base-0 return tokens,

@@ -31,7 +31,6 @@ var straceMaxLine = 16 << 20
 // ParseStrace is the zero-copy fast path (strace_fast.go); the original
 // line-at-a-time parser lives on in the tests as parseStraceReference,
 // the semantic oracle the golden and fuzz tests compare against. For
-// parallel parsing of large inputs see ParseStraceSharded; for
 // overlapping the parse with compilation see ParseStraceStream.
 func ParseStrace(r io.Reader) (*Trace, error) {
 	return parseStraceFast(r)

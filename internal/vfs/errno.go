@@ -16,6 +16,7 @@ const (
 	ENOENT       Errno = 2
 	EINTR        Errno = 4
 	EIO          Errno = 5
+	E2BIG        Errno = 7
 	EBADF        Errno = 9
 	EACCES       Errno = 13
 	EBUSY        Errno = 16
@@ -48,6 +49,7 @@ var errnoNames = map[Errno]string{
 	ENOENT:       "ENOENT",
 	EINTR:        "EINTR",
 	EIO:          "EIO",
+	E2BIG:        "E2BIG",
 	EBADF:        "EBADF",
 	EACCES:       "EACCES",
 	EBUSY:        "EBUSY",

@@ -705,6 +705,10 @@ func (fs *FS) Getxattr(base *Inode, path, name string) ([]byte, Errno) {
 	return v, OK
 }
 
+// XattrSizeMax is Linux's XATTR_SIZE_MAX: the largest extended
+// attribute value a set call accepts. Larger values fail with E2BIG.
+const XattrSizeMax = 65536
+
 // Setxattr sets an extended attribute on the file at path.
 func (fs *FS) Setxattr(base *Inode, path, name string, value []byte) Errno {
 	ino, err := fs.Resolve(base, path)

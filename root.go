@@ -93,12 +93,6 @@ func ParseModes(s string) (ModeSet, error) { return artc.ParseModes(s) }
 // ParseStrace parses `strace -f -ttt -T` output into a Trace.
 func ParseStrace(r io.Reader) (*Trace, error) { return trace.ParseStrace(r) }
 
-// ParseStraceSharded parses strace output using shards parallel lexers
-// (<= 0 selects GOMAXPROCS); the result is identical to ParseStrace.
-func ParseStraceSharded(r io.Reader, shards int) (*Trace, error) {
-	return trace.ParseStraceSharded(r, shards)
-}
-
 // CompileStrace parses strace output and compiles it in one streaming
 // pass, overlapping lexing with model evaluation; see
 // artc.CompileStraceStream.

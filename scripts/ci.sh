@@ -15,18 +15,21 @@
 #
 # Lanes: lint (gofmt + go vet), vet-race (race-enabled tests),
 # determinism (byte-identical trace export under forced parallelism),
-# ingest (sequential and sharded strace parses agree), shard (sharded
-# replay matches serial byte for byte across GOMAXPROCS and shard
-# counts, on the Magritte corpus and on temporal and single replays of
-# the components golden; the components and pipeline family specs
-# regenerate exactly; the chaos invariants hold through the sharded
-# replayer), chaos (seeded fault sweep with per-seed verification plus
-# a single-seed bit-repro check), cache (artifact cache hit/corruption
-# behavior), fuzz (short strace-lexer, binary-decoder, and job-spec
-# fuzz smokes), service (boot artcd, drive a replay over HTTP, compare the
-# export byte for byte against the artc CLI), service-fault (overfill a
-# tenant queue, assert bounded 429 backpressure and a clean SIGTERM
-# drain), bench (perfstat snapshot and the benchcmp regression gate).
+# ingest (strace/native conversions round-trip byte for byte, the
+# streaming strace compile matches the batch compile, and the fast and
+# streaming parsers agree with the reference), shard (sharded replay
+# matches serial byte for byte across GOMAXPROCS and shard counts, on
+# the Magritte corpus and on temporal and single replays of the
+# components golden; the components and pipeline family specs regenerate
+# exactly; the chaos invariants hold through the sharded replayer),
+# chaos (seeded fault sweep with per-seed verification plus a
+# single-seed bit-repro check), cache (artifact cache hit/corruption
+# behavior), fuzz (short strace-lexer, binary-decoder, job-spec and
+# snapshot-decoder fuzz smokes), service (boot artcd, drive a replay
+# over HTTP, compare the export byte for byte against the artc CLI),
+# service-fault (overfill a tenant queue, assert bounded 429
+# backpressure and a clean SIGTERM drain), bench (perfstat snapshot and
+# the benchcmp regression gate).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,17 +79,37 @@ determinism() {
 }
 
 ingest() {
-  echo "== ingest: sequential and sharded strace parses agree byte for byte"
   go build -o "$tmp/artc" ./cmd/artc
   go build -o "$tmp/tracegen" ./cmd/tracegen
+  # randomreaders overlaps calls (thousands of unfinished/resumed pairs);
+  # readrandom carries over a thousand dependency edges.
   "$tmp/tracegen" -format strace -threads 8 -ops 2500 -seed 42 \
-    -o "$tmp/ingest.strace" -snapshot "$tmp/ingest.snap"
-  "$tmp/artc" convert -trace "$tmp/ingest.strace" -format strace -to native -o "$tmp/ingest-seq.trace"
-  GOMAXPROCS=8 "$tmp/artc" convert -trace "$tmp/ingest.strace" -format strace -shards 8 \
-    -to native -o "$tmp/ingest-shard.trace"
-  cmp "$tmp/ingest-seq.trace" "$tmp/ingest-shard.trace"
+    -o "$tmp/ingest-rr.strace" -snapshot "$tmp/ingest-rr.snap"
+  "$tmp/tracegen" -format strace -workload readrandom -threads 8 -ops 400 -seed 42 \
+    -o "$tmp/ingest-db.strace" -snapshot "$tmp/ingest-db.snap"
+  for w in rr db; do
+    echo "== ingest ($w): streaming strace compile matches the batch compile of the native trace"
+    "$tmp/artc" convert -trace "$tmp/ingest-$w.strace" -format strace -to native \
+      -o "$tmp/ingest-$w.trace"
+    "$tmp/artc" compile -trace "$tmp/ingest-$w.strace" -format strace \
+      -snapshot "$tmp/ingest-$w.snap" -no-cache -binary -o "$tmp/ingest-$w-stream.bench"
+    "$tmp/artc" compile -trace "$tmp/ingest-$w.trace" -format native \
+      -snapshot "$tmp/ingest-$w.snap" -no-cache -binary -o "$tmp/ingest-$w-batch.bench"
+    cmp "$tmp/ingest-$w-stream.bench" "$tmp/ingest-$w-batch.bench"
+  done
+  # randomreaders only: some of readrandom's nanosecond durations have
+  # no nine-digit rendering that parses back exactly, so its first
+  # re-encode shifts call ends and reorders records.
+  echo "== ingest: strace -> native -> strace -> native is byte-identical"
+  "$tmp/artc" convert -trace "$tmp/ingest-rr.trace" -format native -to strace \
+    -o "$tmp/ingest-rr-2.strace"
+  "$tmp/artc" convert -trace "$tmp/ingest-rr-2.strace" -format strace -to native \
+    -o "$tmp/ingest-rr-2.trace"
+  cmp "$tmp/ingest-rr.trace" "$tmp/ingest-rr-2.trace"
+  echo "== ingest: fast and streaming parsers agree with the reference"
   GOMAXPROCS=8 go test -race -count=1 \
-    -run 'StraceGolden|ParseStraceAllocRegression|MergeShares|ShardedShares' ./internal/trace/
+    -run 'StraceGolden|ParseStraceAllocRegression|MergeShares|CompileStraceStream' \
+    ./internal/trace/ ./internal/artc/
 }
 
 shard() {
@@ -175,6 +198,8 @@ fuzz() {
   go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 20s -fuzzminimizetime 5s ./internal/artc/
   echo "== fuzz: 20s artcd job-spec decode smoke"
   go test -run '^$' -fuzz 'FuzzJobSpec' -fuzztime 20s -fuzzminimizetime 5s ./internal/serve/
+  echo "== fuzz: 20s snapshot decoder smoke"
+  go test -run '^$' -fuzz 'FuzzDecodeSnapshot' -fuzztime 20s -fuzzminimizetime 5s ./internal/snapshot/
 }
 
 # start_artcd boots the daemon on an ephemeral port with the given
